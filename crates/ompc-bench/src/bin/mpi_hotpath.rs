@@ -1,24 +1,20 @@
-//! The MPI hot-path figure: threaded-vs-MPI dispatch overhead with task
-//! trains on and off, plus the warm-pool start-up share of a tiny run.
-//! Writes `results/mpi_hotpath.json`, embedding the PR-5-era window-1
-//! baseline ratio from `results/backend_overhead.json` when that file is
-//! present.
+//! The MPI hot-path figure: threaded-vs-MPI dispatch overhead, plus the
+//! warm-pool start-up share of a tiny run. Writes
+//! `results/mpi_hotpath.json`.
 //!
 //! Usage: `cargo run --release -p ompc-bench --bin mpi_hotpath [--smoke]`
 //!
 //! `--smoke` shrinks every dimension for CI: the figure loses statistical
 //! weight but still exercises every measured configuration end to end.
 
-use ompc_bench::{
-    baseline_window1_ratio, hotpath_json, render_table, run_hotpath_overhead, run_warm_startup,
-};
+use ompc_bench::{hotpath_json, render_table, run_hotpath_overhead, run_warm_startup};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (windows, tasks, workers, repeats, lifetimes): (&[usize], usize, usize, usize, usize) =
         if smoke { (&[1, 4], 32, 2, 2, 2) } else { (&[1, 2, 4, 8, 16], 256, 4, 5, 4) };
 
-    eprintln!("# MPI hot path: threaded vs MPI (trains on/off), {tasks} tiny tasks");
+    eprintln!("# MPI hot path: threaded vs MPI, {tasks} tiny tasks");
     let overhead = run_hotpath_overhead(windows, tasks, workers, repeats);
     let header = vec![
         "mode".to_string(),
@@ -64,16 +60,7 @@ fn main() {
     println!();
     print!("{}", render_table(&header, &rows));
 
-    let baseline = std::fs::read_to_string("results/backend_overhead.json")
-        .ok()
-        .as_deref()
-        .and_then(baseline_window1_ratio);
-    match baseline {
-        Some(b) => eprintln!("\nPR-5 baseline window-1 mpi/threaded ratio: {b:.2}x"),
-        None => eprintln!("\nno results/backend_overhead.json baseline found"),
-    }
-
     std::fs::create_dir_all("results").ok();
-    std::fs::write("results/mpi_hotpath.json", hotpath_json(&overhead, &startup, baseline)).ok();
-    eprintln!("wrote results/mpi_hotpath.json ({} overhead rows)", overhead.len());
+    std::fs::write("results/mpi_hotpath.json", hotpath_json(&overhead, &startup)).ok();
+    eprintln!("\nwrote results/mpi_hotpath.json ({} overhead rows)", overhead.len());
 }

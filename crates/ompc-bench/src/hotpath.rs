@@ -1,20 +1,18 @@
-//! The MPI hot-path figure (ROADMAP "Next directions" item 3): how much of
-//! the §7 per-task messaging overhead the task-train batching, the
-//! any-source completion channel, and the cached payload codecs removed —
-//! and how much of a tiny run's wall time the warm persistent worker pool
-//! saves (the fig. 7(a) start-up share).
+//! The MPI hot-path figure: the §7 per-task messaging overhead of the
+//! message-passing backend (one composite message per task, the any-source
+//! completion channel, the cached payload codecs) against the threaded
+//! backend, and how much of a tiny run's wall time the warm persistent
+//! worker pool saves (the fig. 7(a) start-up share).
 //!
 //! * [`run_hotpath_overhead`] — the wide tiny-task graph of the
-//!   `backend_overhead` figure, re-measured with train batching on and off
-//!   against the threaded backend on the same plan, min-of-`repeats` per
-//!   point.
+//!   `backend_overhead` figure on the MPI and threaded backends with the
+//!   same plan, min-of-`repeats` per point.
 //! * [`run_warm_startup`] — repeated tiny device lifetimes measured cold
 //!   (fresh gate threads every time) and warm (adopting the parked pool),
 //!   reporting the start-up share of each mode's best lifetime.
 //! * [`hotpath_json`] — the `results/mpi_hotpath.json` document: both row
-//!   sets plus a summary with the window-1 ratios, the PR-5 baseline ratio
-//!   (when the caller recovered one from `backend_overhead.json`), and the
-//!   cold/warm start-up shares.
+//!   sets plus a summary with the window-1 ratio and the cold/warm start-up
+//!   shares.
 
 use crate::report::JsonRow;
 use ompc_core::model::WorkloadGraph;
@@ -26,8 +24,7 @@ use std::time::Instant;
 /// One point of the hot-path overhead figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotpathOverheadRow {
-    /// Execution mode: `threaded`, `mpi` (train batching on, the default),
-    /// or `mpi-unbatched` (the per-task dispatch wire protocol).
+    /// Execution mode: `threaded` or `mpi`.
     pub mode: &'static str,
     /// In-flight window size.
     pub window: usize,
@@ -83,8 +80,8 @@ fn measure(
     best
 }
 
-/// The hot-path overhead figure: the wide graph on the threaded backend and
-/// on the MPI backend with train batching on and off, same plan everywhere.
+/// The hot-path overhead figure: the wide graph on the threaded and the MPI
+/// backend, same plan on both.
 pub fn run_hotpath_overhead(
     windows: &[usize],
     tasks: usize,
@@ -111,20 +108,6 @@ pub fn run_hotpath_overhead(
                 measure(
                     workers,
                     &OmpcConfig { backend: BackendKind::Mpi, ..base.clone() },
-                    &workload,
-                    &plan,
-                    repeats,
-                ),
-            ),
-            (
-                "mpi-unbatched",
-                measure(
-                    workers,
-                    &OmpcConfig {
-                        backend: BackendKind::Mpi,
-                        task_train_batching: false,
-                        ..base.clone()
-                    },
                     &workload,
                     &plan,
                     repeats,
@@ -199,53 +182,21 @@ pub fn run_warm_startup(lifetimes: usize, tasks: usize, workers: usize) -> Vec<H
     rows
 }
 
-/// Extract the window-1 `mpi / threaded` wall-time ratio from a serialized
-/// `backend_overhead.json` — the PR-5-era baseline this figure is gated
-/// against.
-pub fn baseline_window1_ratio(json: &str) -> Option<f64> {
-    let rows = Json::parse(json).ok()?;
-    let rows = rows.as_array()?;
-    let seconds = |backend: &str| {
-        rows.iter()
-            .find(|r| {
-                r.get("backend").and_then(Json::as_str) == Some(backend)
-                    && r.get("window").and_then(Json::as_usize) == Some(1)
-            })
-            .and_then(|r| r.get("seconds"))
-            .and_then(Json::as_f64)
-    };
-    let threaded = seconds("threaded")?;
-    let mpi = seconds("mpi")?;
-    (threaded > 0.0).then(|| mpi / threaded)
-}
-
 /// Render the `results/mpi_hotpath.json` document: both row sets plus the
 /// summary the acceptance gate reads.
-pub fn hotpath_json(
-    overhead: &[HotpathOverheadRow],
-    startup: &[HotpathStartupRow],
-    baseline: Option<f64>,
-) -> String {
+pub fn hotpath_json(overhead: &[HotpathOverheadRow], startup: &[HotpathStartupRow]) -> String {
     let window1 = |mode: &str| {
         overhead.iter().find(|r| r.window == 1 && r.mode == mode).map(|r| r.ratio_vs_threaded)
     };
     let share = |mode: &str| startup.iter().find(|r| r.mode == mode).map(|r| r.startup_share);
     let opt = |v: Option<f64>| v.map(Json::num).unwrap_or(Json::Null);
-    let batched = window1("mpi");
-    let improvement = match (baseline, batched) {
-        (Some(before), Some(after)) if after > 0.0 => Some(before / after),
-        _ => None,
-    };
     Json::obj([
         ("overhead", Json::Arr(overhead.iter().map(JsonRow::to_json_value).collect())),
         ("startup", Json::Arr(startup.iter().map(JsonRow::to_json_value).collect())),
         (
             "summary",
             Json::obj([
-                ("window1_mpi_vs_threaded", opt(batched)),
-                ("window1_mpi_unbatched_vs_threaded", opt(window1("mpi-unbatched"))),
-                ("baseline_window1_mpi_vs_threaded", opt(baseline)),
-                ("window1_ratio_improvement", opt(improvement)),
+                ("window1_mpi_vs_threaded", opt(window1("mpi"))),
                 ("cold_startup_share", opt(share("cold"))),
                 ("warm_startup_share", opt(share("warm"))),
             ]),
@@ -284,8 +235,8 @@ mod tests {
     #[test]
     fn hotpath_overhead_measures_every_mode_at_each_window() {
         let rows = run_hotpath_overhead(&[1, 4], 16, 2, 1);
-        assert_eq!(rows.len(), 6);
-        for mode in ["threaded", "mpi", "mpi-unbatched"] {
+        assert_eq!(rows.len(), 4);
+        for mode in ["threaded", "mpi"] {
             for &window in &[1usize, 4] {
                 let row = rows.iter().find(|r| r.mode == mode && r.window == window).unwrap();
                 assert!(row.seconds > 0.0 && row.ratio_vs_threaded > 0.0);
@@ -304,28 +255,14 @@ mod tests {
     }
 
     #[test]
-    fn baseline_ratio_reads_the_backend_overhead_format() {
-        let json = r#"[
-            {"backend": "threaded", "seconds": 0.01, "tasks": 256, "window": 1},
-            {"backend": "mpi", "seconds": 0.04, "tasks": 256, "window": 1},
-            {"backend": "mpi", "seconds": 0.02, "tasks": 256, "window": 4}
-        ]"#;
-        let ratio = baseline_window1_ratio(json).unwrap();
-        assert!((ratio - 4.0).abs() < 1e-12);
-        assert!(baseline_window1_ratio("[]").is_none());
-        assert!(baseline_window1_ratio("not json").is_none());
-    }
-
-    #[test]
     fn hotpath_json_summarizes_window1_and_startup() {
         let overhead = run_hotpath_overhead(&[1], 8, 2, 1);
         let startup = run_warm_startup(2, 4, 2);
-        let doc = hotpath_json(&overhead, &startup, Some(4.0));
+        let doc = hotpath_json(&overhead, &startup);
         let parsed = Json::parse(&doc).unwrap();
         let summary = parsed.get("summary").unwrap();
         assert!(summary.get("window1_mpi_vs_threaded").unwrap().as_f64().unwrap() > 0.0);
-        assert!(summary.get("window1_ratio_improvement").unwrap().as_f64().unwrap() > 0.0);
         assert!(summary.get("cold_startup_share").unwrap().as_f64().is_some());
-        assert_eq!(parsed.get("overhead").unwrap().as_array().unwrap().len(), 3);
+        assert_eq!(parsed.get("overhead").unwrap().as_array().unwrap().len(), 2);
     }
 }

@@ -29,8 +29,8 @@
 //!   prefetch depths, showing transfer/compute overlap against
 //!   synchronous enter-data on both real backends.
 //! * [`run_hotpath_overhead`] / [`run_warm_startup`] — the MPI hot-path
-//!   figure: the same wide graph with task-train batching on and off, and
-//!   the warm-pool start-up share of a tiny run, cold vs warm.
+//!   figure: the same wide graph on the MPI backend against the threaded
+//!   one, and the warm-pool start-up share of a tiny run, cold vs warm.
 //! * [`run_multitenant`] — concurrent admission: aggregate throughput of
 //!   K client surveys sharing one device while
 //!   `max_concurrent_regions` sweeps from strictly serial to fully
@@ -70,8 +70,7 @@ pub use figures::{
     ScalabilityRow,
 };
 pub use hotpath::{
-    baseline_window1_ratio, hotpath_json, run_hotpath_overhead, run_warm_startup,
-    HotpathOverheadRow, HotpathStartupRow,
+    hotpath_json, run_hotpath_overhead, run_warm_startup, HotpathOverheadRow, HotpathStartupRow,
 };
 pub use multitenant::{
     multitenant_gate_failures, run_multitenant, MultitenantRow, MultitenantWorkload,

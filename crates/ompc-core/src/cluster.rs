@@ -246,12 +246,8 @@ impl ClusterDevice {
         // have paced (or not paced) its links differently.
         world.set_link_bandwidth(config.emulated_link_mib_per_s as u64 * 1024 * 1024);
         let startup_time = start.elapsed();
-        let pool = HeadWorkerPool::with_idle_timeout(
-            config.pool_idle_timeout_ms.map(std::time::Duration::from_millis),
-        );
-        let transfer_pool = HeadWorkerPool::with_idle_timeout(
-            config.pool_idle_timeout_ms.map(std::time::Duration::from_millis),
-        );
+        let pool = HeadWorkerPool::new();
+        let transfer_pool = HeadWorkerPool::new();
         let telemetry = Telemetry::new(config.telemetry);
         Self {
             world: Some(world),
@@ -287,10 +283,8 @@ impl ClusterDevice {
     /// pool. The pool grows lazily to `min(head_worker_threads, window,
     /// tasks)` of the largest region executed so far and is reused across
     /// regions — repeated small regions never pay per-region spawn/join
-    /// churn. With [`OmpcConfig::pool_idle_timeout_ms`] set, idle threads
-    /// exit after the timeout, so this count also *drops* once the device
-    /// has been quiet. Always zero under
-    /// [`crate::config::BackendKind::Mpi`], which has no head pool.
+    /// churn. Always zero under [`crate::config::BackendKind::Mpi`], which
+    /// has no head pool.
     pub fn pool_threads(&self) -> usize {
         self.pool.threads()
     }

@@ -171,25 +171,6 @@ pub struct OmpcConfig {
     /// for the slowest kernel plus queueing delay on the worker's handler
     /// pool.
     pub event_reply_timeout_ms: Option<u64>,
-    /// Idle timeout (milliseconds) after which a head pool thread that
-    /// received no work exits, letting the long-lived
-    /// [`crate::runtime::HeadWorkerPool`] shrink below its high-water mark.
-    /// `None` (the default) keeps the historical behaviour: the pool only
-    /// ever grows, which is right for steady workloads but wastes threads
-    /// on a device alternating huge and tiny regions. The pool re-grows
-    /// lazily on the next region that needs more threads, so enabling the
-    /// reaper trades idle memory for occasional re-spawn latency.
-    pub pool_idle_timeout_ms: Option<u64>,
-    /// Pack all tasks a dispatch round sends to one node into a single
-    /// [`crate::protocol::EventRequest::TaskTrain`] message instead of one
-    /// tagged message per task (the §7 per-task messaging cost). The worker
-    /// runs the train in order and still replies **per task** on each car's
-    /// own channel, so error blame, zombie-gate refusals, and fault
-    /// recovery stay per-task. Only the [`crate::runtime::MpiBackend`]
-    /// reads this knob; a round that sends a node exactly one task is sent
-    /// as a plain `Task` message, wire-identical to batching disabled.
-    /// Enabled by default.
-    pub task_train_batching: bool,
     /// Keep the MPI worker loops of a [`crate::cluster::ClusterDevice`]
     /// alive after [`crate::cluster::ClusterDevice::shutdown`] and let the
     /// next device with the same shape (workers, communicators, handler
@@ -291,8 +272,6 @@ impl Default for OmpcConfig {
             heartbeat_period_ms: 10,
             heartbeat_miss_threshold: 3,
             event_reply_timeout_ms: None,
-            pool_idle_timeout_ms: None,
-            task_train_batching: true,
             warm_worker_keepalive: true,
             enter_data_async: false,
             prefetch_depth: 1,
@@ -324,8 +303,6 @@ impl OmpcConfig {
             heartbeat_period_ms: 10,
             heartbeat_miss_threshold: 3,
             event_reply_timeout_ms: Some(60_000),
-            pool_idle_timeout_ms: None,
-            task_train_batching: true,
             warm_worker_keepalive: true,
             enter_data_async: false,
             prefetch_depth: 1,
@@ -454,12 +431,7 @@ mod tests {
         assert_eq!(BackendKind::Sim.name(), "sim");
         assert_eq!(OmpcConfig::default().backend, BackendKind::Threaded);
         assert_eq!(OmpcConfig::small().backend, BackendKind::Threaded);
-        // The idle reaper is opt-in.
-        assert_eq!(OmpcConfig::default().pool_idle_timeout_ms, None);
-        assert_eq!(OmpcConfig::small().pool_idle_timeout_ms, None);
-        // Task-train batching and warm-worker keepalive are on by default.
-        assert!(OmpcConfig::default().task_train_batching);
-        assert!(OmpcConfig::small().task_train_batching);
+        // Warm-worker keepalive is on by default.
         assert!(OmpcConfig::default().warm_worker_keepalive);
         assert!(OmpcConfig::small().warm_worker_keepalive);
         // Telemetry is off by default: no clock reads, empty span streams.

@@ -185,10 +185,10 @@ impl EventSystem {
         Ok(())
     }
 
-    /// Copy several buffers to `node` in one event (host → worker), the
-    /// prefetch analogue of the task trains: one gate notification, the
-    /// payloads streaming in order on the train's own channel, one typed
-    /// reply for the whole train. The worker additionally posts exactly one
+    /// Copy several buffers to `node` in one event (host → worker), a
+    /// *prefetch train*: one gate notification, the payloads streaming in
+    /// order on the train's own channel, one typed reply for the whole
+    /// train. The worker additionally posts exactly one
     /// [`crate::protocol::CompletionNotice`] on [`PREFETCH_TAG`] — in both
     /// its handler and zombie-refusal paths — which this call drains after
     /// the reply so the any-source prefetch channel never accumulates

@@ -73,17 +73,6 @@ pub enum EventRequest {
     /// forwarding plan and carries it as one tagged message instead of
     /// blocking a head pool thread on each constituent event.
     Task(TaskSpec),
-    /// Run several composite tasks bound for this node, batched into one
-    /// tagged message (a *task train*). The worker runs the cars strictly
-    /// in order but replies **per car** on each car's own exclusive
-    /// `(tag, communicator)` channel, exactly as if the cars had arrived
-    /// as individual [`Task`] notifications: the typed error protocol,
-    /// zombie-gate refusals, and fault blame all stay per task. The head
-    /// packs all ready tasks of one dispatch round bound for one node into
-    /// a train, collapsing k control-tag messages into one.
-    ///
-    /// [`Task`]: EventRequest::Task
-    TaskTrain(Vec<TrainCar>),
     /// Receive the contents of several buffers from the origin in one
     /// batched event (a *prefetch train*): the payloads follow on the
     /// train's envelope channel in listed order (MPI delivery is
@@ -139,7 +128,6 @@ impl EventRequest {
             EventRequest::ExchangeRecv { .. } => "exchange-recv",
             EventRequest::Execute { .. } => "execute",
             EventRequest::Task(_) => "task",
-            EventRequest::TaskTrain(_) => "task-train",
             EventRequest::SubmitTrain { .. } => "submit-train",
             EventRequest::RelayRecv { .. } => "relay-recv",
             EventRequest::RelayFeed { .. } => "relay-feed",
@@ -194,21 +182,6 @@ pub fn decode_relay_frame(data: &[u8]) -> OmpcResult<(u64, Vec<u8>)> {
     }
     let index = u64::from_le_bytes(data[..8].try_into().expect("8-byte slice"));
     Ok((index, data[8..].to_vec()))
-}
-
-/// One car of an [`EventRequest::TaskTrain`]: a complete composite task
-/// with its own exclusive reply channel. Payloads for the car's
-/// [`TaskStep::RecvFromHead`] steps travel on the car's `(tag, comm)`
-/// channel — not the train's envelope channel — so batching changes only
-/// how the *notification* travels, never the per-task message discipline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrainCar {
-    /// Tag of the car's exclusive channel (reply and payloads).
-    pub tag: Tag,
-    /// Communicator of the car's exclusive channel.
-    pub comm: CommId,
-    /// The composite task itself.
-    pub spec: TaskSpec,
 }
 
 /// One step of a composite [`EventRequest::Task`], executed in order by the
@@ -286,9 +259,7 @@ pub struct EventNotification {
     pub comm: CommId,
     /// Whether the destination should capture telemetry timestamps while
     /// handling this event and ship them home in the reply (see
-    /// [`TaskStamps`] / [`EventReply::OkTimed`]). Cars of an
-    /// [`EventRequest::TaskTrain`] inherit the train envelope's flag. The
-    /// worker reads no clock when this is `false`, keeping
+    /// [`TaskStamps`] / [`EventReply::OkTimed`]). The worker reads no clock when this is `false`, keeping
     /// telemetry-off runs free of clock syscalls.
     pub timed: bool,
 }
@@ -380,7 +351,6 @@ const KIND_EXECUTE: u8 = 7;
 const KIND_SHUTDOWN: u8 = 8;
 const KIND_KILL: u8 = 9;
 const KIND_TASK: u8 = 10;
-const KIND_TASK_TRAIN: u8 = 11;
 const KIND_RESET: u8 = 12;
 const KIND_SUBMIT_TRAIN: u8 = 13;
 const KIND_RELAY_RECV: u8 = 14;
@@ -525,18 +495,6 @@ impl EventNotification {
                     encode_step(&mut w, step);
                 }
             }
-            EventRequest::TaskTrain(cars) => {
-                w.u8(KIND_TASK_TRAIN);
-                w.u32(cars.len() as u32);
-                for car in cars {
-                    w.u64(car.tag.0);
-                    w.u32(car.comm.0);
-                    w.u32(car.spec.steps.len() as u32);
-                    for step in &car.spec.steps {
-                        encode_step(&mut w, step);
-                    }
-                }
-            }
             EventRequest::SubmitTrain { buffers } => {
                 w.u8(KIND_SUBMIT_TRAIN);
                 w.u32(buffers.len() as u32);
@@ -610,21 +568,6 @@ impl EventNotification {
                     steps.push(decode_step(&mut r)?);
                 }
                 EventRequest::Task(TaskSpec { steps })
-            }
-            KIND_TASK_TRAIN => {
-                let cars_len = r.u32()?;
-                let mut cars = Vec::with_capacity(cars_len as usize);
-                for _ in 0..cars_len {
-                    let tag = Tag(r.u64()?);
-                    let comm = CommId(r.u32()?);
-                    let n = r.u32()?;
-                    let mut steps = Vec::with_capacity(n as usize);
-                    for _ in 0..n {
-                        steps.push(decode_step(&mut r)?);
-                    }
-                    cars.push(TrainCar { tag, comm, spec: TaskSpec { steps } });
-                }
-                EventRequest::TaskTrain(cars)
             }
             KIND_SUBMIT_TRAIN => {
                 let n = r.u32()?;
@@ -923,6 +866,7 @@ mod tests {
             kernel: KernelId(9),
             buffers: vec![BufferId(1), BufferId(2), BufferId(3)],
         });
+        round_trip(EventRequest::Reset);
         round_trip(EventRequest::Shutdown);
         round_trip(EventRequest::Kill);
     }
@@ -943,29 +887,6 @@ mod tests {
                 },
             ],
         }));
-    }
-
-    #[test]
-    fn task_train_round_trips_with_per_car_channels() {
-        round_trip(EventRequest::TaskTrain(vec![]));
-        round_trip(EventRequest::Reset);
-        round_trip(EventRequest::TaskTrain(vec![
-            TrainCar {
-                tag: Tag(11),
-                comm: CommId(1),
-                spec: TaskSpec {
-                    steps: vec![
-                        TaskStep::RecvFromHead { buffer: BufferId(1) },
-                        TaskStep::Execute { kernel: KernelId(2), buffers: vec![BufferId(1)] },
-                    ],
-                },
-            },
-            TrainCar {
-                tag: Tag(12),
-                comm: CommId(0),
-                spec: TaskSpec { steps: vec![TaskStep::Alloc { buffer: BufferId(4), size: 64 }] },
-            },
-        ]));
     }
 
     #[test]
@@ -1065,24 +986,6 @@ mod tests {
         // runtime check without tripping clippy's const-assert lint.
         let first_event_tag = FIRST_EVENT_TAG;
         assert!(PREFETCH_TAG.0 < first_event_tag);
-    }
-
-    #[test]
-    fn truncated_task_train_is_an_error() {
-        let n = EventNotification {
-            request: EventRequest::TaskTrain(vec![TrainCar {
-                tag: Tag(9),
-                comm: CommId(0),
-                spec: TaskSpec { steps: vec![TaskStep::Delete { buffer: BufferId(3) }] },
-            }]),
-            tag: Tag(9),
-            comm: CommId(0),
-            timed: false,
-        };
-        let bytes = n.encode();
-        for cut in 1..bytes.len() {
-            assert!(EventNotification::decode(&bytes[..bytes.len() - cut]).is_err());
-        }
     }
 
     #[test]
@@ -1226,7 +1129,6 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(EventRequest::Shutdown.name(), "shutdown");
-        assert_eq!(EventRequest::TaskTrain(vec![]).name(), "task-train");
         assert_eq!(EventRequest::Reset.name(), "reset");
         assert_eq!(EventRequest::Retrieve { buffer: BufferId(0) }.name(), "retrieve");
         assert_eq!(

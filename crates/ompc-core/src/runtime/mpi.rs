@@ -1,41 +1,33 @@
 //! The message-passing execution backend: every task travels to its worker
-//! node as **one composite event over `ompc-mpi`**, ready tasks bound for
-//! the same node in one dispatch window ride together as a **task train**,
-//! and completions come back over a well-known **completion channel** — the
-//! paper's head/worker split (§4.2) with no head pool thread blocked per
-//! in-flight task and no per-task probe loop.
+//! node as **one composite event over `ompc-mpi`**, sent the moment the
+//! core launches it, and completions come back over a well-known
+//! **completion channel** — the paper's head/worker split (§4.2) with no
+//! head pool thread blocked per in-flight task and no per-task probe loop.
 //!
 //! Where [`super::ThreadedBackend`] has a pool of head worker threads each
 //! driving a task's constituent events *synchronously* (submit, wait;
 //! execute, wait; …), the [`MpiBackend`] head composes the whole task — the
 //! input forwards planned by the [`DataManager`], output allocations, and
 //! the kernel execution — into a single composite recipe, serializes it
-//! through the `protocol` codec, and sends it as a tagged message. Payloads
-//! and worker-to-worker forwards ride the task's exclusive
-//! `(tag, communicator)` channel (communicators chosen round-robin by tag,
-//! the paper's VCI mapping), and the worker's handler answers with exactly
-//! one [`EventReply`] when the last step finished — success or a typed
-//! error naming the node and event.
-//!
-//! **Task trains** (§7: per-task messaging overhead): `launch` does not
-//! send a target task immediately. It buffers the composed car per
-//! destination node, and the train departs when the dispatch window closes
-//! (the core calls `await_completions`, or batching is disabled). A train
-//! of one car is sent as a plain [`EventRequest::Task`] — wire-identical to
-//! the unbatched protocol — so [`crate::config::OmpcConfig::task_train_batching`]
-//! changes message *count*, never message *meaning*. Each car keeps its own
-//! reply channel, so per-task typed errors, zombie-gate refusals, and fault
-//! blame survive batching unchanged.
+//! through the `protocol` codec, and sends it as one
+//! [`EventRequest::Task`] notification. Payloads and worker-to-worker
+//! forwards follow on the task's exclusive `(tag, communicator)` channel
+//! (communicators chosen round-robin by tag, the paper's VCI mapping), and
+//! the worker's handler answers with exactly one [`EventReply`] when the
+//! last step finished — success or a typed error naming the node and
+//! event. A send that fails part-way rolls the launch back and reports the
+//! task failed; counters are committed only once all of a task's frames
+//! are on the wire, so a retried task is counted exactly once.
 //!
 //! **Completion channel**: instead of `iprobe`ing the reply channel of
 //! every outstanding task (O(tasks in flight) per poll), workers post a
 //! compact [`CompletionNotice`] to the reserved
-//! [`crate::protocol::COMPLETION_TAG`] after each task or train car. The
-//! head blocks on that one channel (a condvar wakeup, not a sleep poll) and
-//! receives each noticed task's already-delivered typed reply — work
-//! proportional to messages arrived, not tasks outstanding. Data events
-//! (enter/exit transfers issued through the shared [`EventSystem`] verbs)
-//! post no notice and keep the bounded per-channel probe;
+//! [`crate::protocol::COMPLETION_TAG`] after each task. The head blocks on
+//! that one channel (a condvar wakeup, not a sleep poll) and receives each
+//! noticed task's already-delivered typed reply — work proportional to
+//! messages arrived, not tasks outstanding. Data events (enter/exit
+//! transfers issued through the shared [`EventSystem`] verbs) post no
+//! notice and keep the bounded per-channel probe;
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`] remains the
 //! last-resort bound on a reply that can never arrive.
 //!
@@ -50,12 +42,12 @@
 //! The full fault-tolerance surface carries over unchanged: the failure
 //! injector kills the worker's event loop for real ([`EventRequest::Kill`]
 //! via [`ExecutionBackend::invalidate_node`]), the zombie gate refuses
-//! every later task — and every car of a later train, individually — with
-//! an error reply (so a launch onto a dead node degrades into a stale
-//! failure the core restarts, never a hang), and a dead exchange source
-//! forwards its error envelope through the receiving task's reply with the
-//! dead node's attribution — the same propagate-vs-restart decisions
-//! [`super::RuntimeCore`] makes for the other two backends.
+//! every later task with an error reply (so a launch onto a dead node
+//! degrades into a stale failure the core restarts, never a hang), and a
+//! dead exchange source forwards its error envelope through the receiving
+//! task's reply with the dead node's attribution — the same
+//! propagate-vs-restart decisions [`super::RuntimeCore`] makes for the
+//! other two backends.
 
 use super::fault::LostBuffer;
 use super::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
@@ -67,7 +59,7 @@ use crate::config::OmpcConfig;
 use crate::data_manager::{DataManager, TransferReason, HEAD_NODE};
 use crate::event::EventSystem;
 use crate::protocol::{
-    CompletionNotice, EventNotification, EventReply, EventRequest, TaskSpec, TaskStep, TrainCar,
+    CompletionNotice, EventNotification, EventReply, EventRequest, TaskSpec, TaskStep,
     COMPLETION_TAG,
 };
 use crate::task::{RegionGraph, TaskKind};
@@ -199,30 +191,6 @@ struct Pending {
     kind: PendingKind,
 }
 
-/// One composed target task waiting for its train to depart: everything
-/// `send_train` needs to emit the car's messages, plus what
-/// `fail_unsent_train` needs to roll the launch back if the train never
-/// leaves.
-struct BufferedCar {
-    /// Core task id.
-    task: usize,
-    /// The car's exclusive reply channel.
-    tag: Tag,
-    comm: CommId,
-    /// The composite recipe.
-    steps: Vec<TaskStep>,
-    /// Host payload frames for the `RecvFromHead` steps, in step order.
-    /// Shared with the payload cache: a buffer forwarded to k nodes is
-    /// encoded once.
-    payloads: Vec<Arc<Vec<u8>>>,
-    /// Exchange-send notifications for third-party source nodes.
-    exchanges: Vec<(NodeId, EventRequest)>,
-    exchange_bytes: Vec<u64>,
-    /// Deferred deletes attached as prologue steps — re-deferred if the
-    /// train never departs.
-    attached_deletes: Vec<BufferId>,
-}
-
 /// Everything the message-passing backend needs for one region execution:
 /// the device's communication machinery plus the region graph and host
 /// tasks.
@@ -290,7 +258,6 @@ impl MpiBackend {
             ready: VecDeque::new(),
             inflight: HashSet::new(),
             pending_deletes: BTreeMap::new(),
-            trains: BTreeMap::new(),
             notice_tasks: HashMap::new(),
             payload_cache: HashMap::new(),
         };
@@ -305,9 +272,8 @@ impl MpiBackend {
 }
 
 /// The [`ExecutionBackend`] face of the message-passing head: `launch`
-/// composes one task car and buffers it on its node's train,
-/// `await_completions` flushes the trains and blocks on the completion
-/// channel.
+/// composes one task and sends it, `await_completions` blocks on the
+/// completion channel.
 struct MpiDriver<'c> {
     ctx: &'c MpiContext,
     /// Outstanding tasks, keyed by core task id.
@@ -327,10 +293,6 @@ struct MpiDriver<'c> {
     /// sent to that node; whatever never finds a carrier is flushed at the
     /// epilogue.
     pending_deletes: BTreeMap<NodeId, BTreeSet<BufferId>>,
-    /// Composed target tasks buffered per destination node, departing
-    /// together as one [`EventRequest::TaskTrain`] when the dispatch
-    /// window closes.
-    trains: BTreeMap<NodeId, Vec<BufferedCar>>,
     /// Event tag → core task id for outstanding target tasks: the index a
     /// [`CompletionNotice`] is resolved through.
     notice_tasks: HashMap<u64, usize>,
@@ -382,19 +344,6 @@ impl MpiDriver<'_> {
     /// clear every completion-channel leftover so nothing bleeds into a
     /// later region execution.
     fn drain_outstanding(&mut self) {
-        // Trains that never departed reached no worker: fail their cars
-        // locally. (The pushed ready events die with the driver — the run
-        // is already over.)
-        let trains = std::mem::take(&mut self.trains);
-        for (node, cars) in trains {
-            let rollback: Vec<(usize, Vec<BufferId>)> =
-                cars.iter().map(|c| (c.task, c.attached_deletes.clone())).collect();
-            self.fail_unsent_train(
-                node,
-                rollback,
-                &OmpcError::Communication("run aborted before the task train departed".into()),
-            );
-        }
         let timeout = self.ctx.events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
         for (_, p) in std::mem::take(&mut self.pending) {
             if let Ok(channel) = self.ctx.events.communicator().on(p.comm) {
@@ -472,148 +421,101 @@ impl MpiDriver<'_> {
         }
     }
 
-    /// Send every buffered train. A train of one car goes out as a plain
-    /// task message; failures fall back on [`MpiDriver::fail_unsent_train`]
-    /// and surface as per-task failures through `ready`.
-    fn flush_trains(&mut self) {
-        let trains = std::mem::take(&mut self.trains);
-        for (node, cars) in trains {
-            let rollback: Vec<(usize, Vec<BufferId>)> =
-                cars.iter().map(|c| (c.task, c.attached_deletes.clone())).collect();
-            if let Err(error) = self.send_train(node, cars) {
-                self.fail_unsent_train(node, rollback, &error);
-            }
-        }
-    }
-
-    /// Emit one train's messages: a single notification carrying every
-    /// car's recipe (or a plain task message for a train of one), then each
-    /// car's payloads and exchange notifications on the car's own channel.
+    /// Put one composed target task on the wire: its
+    /// [`EventRequest::Task`] notification on the control tag, then its
+    /// payload frames and exchange notifications on the task's own
+    /// `(tag, comm)` channel.
     ///
-    /// Counters are accumulated locally and committed only once the whole
-    /// train is on the wire: a train that fails mid-send is failed as a
-    /// whole by [`MpiDriver::fail_unsent_train`] and its cars re-dispatched,
-    /// so recording interleaved with the sends would double-count the cars
-    /// that preceded the failure. Committing after the last send keeps
-    /// per-task accounting identical with and without batching *and* across
-    /// retries.
-    fn send_train(&mut self, node: NodeId, mut cars: Vec<BufferedCar>) -> OmpcResult<()> {
-        let tel = Arc::clone(&self.ctx.telemetry);
+    /// Counters are accumulated locally and committed only once every frame
+    /// is on the wire: a task whose send fails part-way is rolled back by
+    /// [`MpiDriver::roll_back_launch`] and re-dispatched, so recording
+    /// interleaved with the sends would count the frames that preceded the
+    /// failure twice.
+    fn send_task(
+        &self,
+        task: usize,
+        node: NodeId,
+        (tag, comm): (Tag, CommId),
+        steps: Vec<TaskStep>,
+        payloads: Vec<Arc<Vec<u8>>>,
+        exchanges: Vec<(NodeId, EventRequest, u64)>,
+    ) -> OmpcResult<()> {
+        let tel = &self.ctx.telemetry;
         let timed = tel.spans_enabled();
         let t0 = tel.start();
-        if let [car] = cars.as_mut_slice() {
-            self.ctx.events.notify(
-                node,
-                &EventNotification {
-                    request: EventRequest::Task(TaskSpec { steps: std::mem::take(&mut car.steps) }),
-                    tag: car.tag,
-                    comm: car.comm,
-                    timed,
-                },
-            )?;
-        } else {
-            let spec_cars: Vec<TrainCar> = cars
-                .iter_mut()
-                .map(|car| TrainCar {
-                    tag: car.tag,
-                    comm: car.comm,
-                    spec: TaskSpec { steps: std::mem::take(&mut car.steps) },
-                })
-                .collect();
-            let (tag, comm) = self.ctx.events.open_channel();
-            self.ctx.events.notify(
-                node,
-                &EventNotification {
-                    request: EventRequest::TaskTrain(spec_cars),
-                    tag,
-                    comm,
-                    timed,
-                },
-            )?;
-        }
+        self.ctx.events.notify(
+            node,
+            &EventNotification {
+                request: EventRequest::Task(TaskSpec { steps }),
+                tag,
+                comm,
+                timed,
+            },
+        )?;
         if timed {
-            // The envelope notification only: the cars' own frames get
-            // per-task `Send` spans below, so the buckets never count the
-            // same microsecond twice.
+            // The control notification only: the task's own frames get a
+            // `Send` span below, so the buckets never count the same
+            // microsecond twice.
             tel.record(
                 Span::new(SpanPhase::TrainFlush, HEAD_NODE, t0, monotonic_us())
-                    .detail(format!("node {node}, {} car(s)", cars.len())),
+                    .detail(format!("node {node}")),
             );
         }
-        let mut recorded: Vec<Option<u64>> = Vec::new();
-        for car in cars {
-            recorded.push(None);
-            let send_start = tel.start();
-            let mut car_bytes = 0u64;
-            let channel = self.ctx.events.communicator().on(car.comm)?;
-            for frame in car.payloads {
-                let bytes = frame.len() as u64;
-                channel.send(node, car.tag, frame.as_ref().clone())?;
-                car_bytes += bytes;
-                recorded.push(Some(bytes));
-            }
-            for ((src, request), bytes) in car.exchanges.into_iter().zip(car.exchange_bytes) {
-                self.ctx.events.notify(
-                    src,
-                    &EventNotification { request, tag: car.tag, comm: car.comm, timed: false },
-                )?;
-                car_bytes += bytes;
-                recorded.push(Some(bytes));
-            }
-            if timed {
-                tel.record(
-                    Span::new(SpanPhase::Send, HEAD_NODE, send_start, monotonic_us())
-                        .task(car.task)
-                        .attempt(tel.attempt(car.task))
-                        .bytes(car_bytes),
-                );
-            }
+        let send_start = tel.start();
+        let mut recorded: Vec<Option<u64>> = vec![None];
+        let channel = self.ctx.events.communicator().on(comm)?;
+        for frame in payloads {
+            channel.send(node, tag, frame.as_ref().clone())?;
+            recorded.push(Some(frame.len() as u64));
         }
-        // Whole train on the wire: commit the per-car accounting.
+        for (src, request, bytes) in exchanges {
+            self.ctx.events.notify(src, &EventNotification { request, tag, comm, timed: false })?;
+            recorded.push(Some(bytes));
+        }
+        if timed {
+            tel.record(
+                Span::new(SpanPhase::Send, HEAD_NODE, send_start, monotonic_us())
+                    .task(task)
+                    .attempt(tel.attempt(task))
+                    .bytes(recorded.iter().flatten().sum()),
+            );
+        }
+        // Every frame is on the wire: commit the task's accounting.
         for bytes in recorded {
             self.ctx.events.counters().record(bytes);
         }
         Ok(())
     }
 
-    /// Roll back the launches of a train that never departed: forget the
-    /// optimistic holder records, clear the in-flight gate, put the
-    /// attached deletes back on the deferral queue, and report each car as
-    /// a failed task (the core owns the propagate-vs-restart policy).
-    fn fail_unsent_train(
-        &mut self,
-        node: NodeId,
-        cars: Vec<(usize, Vec<BufferId>)>,
-        error: &OmpcError,
-    ) {
-        for (task, attached_deletes) in cars {
-            if let Some(p) = self.pending.remove(&task) {
-                self.notice_tasks.remove(&p.tag.0);
-                self.ctx.router.unregister(p.tag);
-                if let PendingKind::Target { owned, allocs, .. } = p.kind {
-                    {
-                        let mut dm = self.ctx.dm.lock();
-                        for &(buf, n) in owned.iter().chain(allocs.iter()) {
-                            dm.forget_replica(buf, n);
-                        }
-                    }
-                    for (buf, n) in owned {
-                        self.inflight.remove(&(buf.0, n));
-                    }
+    /// Roll back a launch whose frames never all reached the wire: drop
+    /// the reply-tag claim, forget the optimistic holder records, clear the
+    /// in-flight gate, and put the attached deletes back on the deferral
+    /// queue. The caller reports the task as failed (the core owns the
+    /// propagate-vs-restart policy).
+    fn roll_back_launch(&mut self, pending: &Pending, attached_deletes: Vec<BufferId>) {
+        self.notice_tasks.remove(&pending.tag.0);
+        self.ctx.router.unregister(pending.tag);
+        if let PendingKind::Target { owned, allocs, .. } = &pending.kind {
+            {
+                let mut dm = self.ctx.dm.lock();
+                for &(buf, n) in owned.iter().chain(allocs.iter()) {
+                    dm.forget_replica(buf, n);
                 }
             }
-            for buf in attached_deletes {
-                self.defer_delete(node, buf);
+            for &(buf, n) in owned {
+                self.inflight.remove(&(buf.0, n));
             }
-            self.ready.push_back(TaskEvent::Failed { task, error: error.clone() });
+        }
+        for buf in attached_deletes {
+            self.defer_delete(pending.node, buf);
         }
     }
 
     /// Compose the message(s) of one task, or finish it locally.
     /// `Ok(None)` means the task completed immediately (host task, no-op
     /// data task); `Err` is a head-side task failure the caller reports as
-    /// a [`TaskEvent::Failed`]. Target tasks are *buffered* on their node's
-    /// train, not sent — the train departs when the window closes.
+    /// a [`TaskEvent::Failed`]. A target task is sent here, as soon as it
+    /// is composed; a failed send leaves no trace of the launch.
     fn begin_task(&mut self, tid: usize, node: NodeId) -> OmpcResult<Option<Pending>> {
         let ctx = self.ctx;
         let task = ctx.graph.task(TaskId(tid));
@@ -868,8 +770,7 @@ impl MpiDriver<'_> {
                 let mut owned: Vec<(BufferId, NodeId)> = Vec::new();
                 let mut allocs: Vec<(BufferId, NodeId)> = Vec::new();
                 let mut payloads: Vec<Arc<Vec<u8>>> = Vec::new();
-                let mut exchanges: Vec<(NodeId, EventRequest)> = Vec::new();
-                let mut exchange_bytes: Vec<u64> = Vec::new();
+                let mut exchanges: Vec<(NodeId, EventRequest, u64)> = Vec::new();
                 // Plan the whole task under one data-manager acquisition,
                 // exactly as the threaded backend plans under its gate: a
                 // later co-scheduled reader either sees our holder record
@@ -913,9 +814,8 @@ impl MpiDriver<'_> {
                                 exchanges.push((
                                     plan.from,
                                     EventRequest::ExchangeSend { buffer: dep.buffer, to: node },
+                                    ctx.buffers.size_of(dep.buffer).unwrap_or(0) as u64,
                                 ));
-                                exchange_bytes
-                                    .push(ctx.buffers.size_of(dep.buffer).unwrap_or(0) as u64);
                                 owned.push((dep.buffer, node));
                             }
                             None => {
@@ -995,28 +895,29 @@ impl MpiDriver<'_> {
                     .map(|d| d.buffer)
                     .collect();
                 let (tag, comm) = ctx.events.open_channel();
-                // The transfer gate opens at composition time: a later
-                // co-scheduled same-node reader must await the arrival even
-                // though the bytes only leave when the train departs.
+                // The transfer gate opens before the bytes leave: a later
+                // co-scheduled same-node reader must await their arrival.
                 for &(buf, n) in &owned {
                     self.inflight.insert((buf.0, n));
                 }
-                self.trains.entry(node).or_default().push(BufferedCar {
-                    task: tid,
-                    tag,
-                    comm,
-                    steps,
-                    payloads,
-                    exchanges,
-                    exchange_bytes,
-                    attached_deletes,
-                });
-                Ok(Some(Pending {
+                // Claim the reply tag before the notification leaves: a
+                // concurrently admitted region's driver may pump this
+                // task's completion notice, and it discards unclaimed tags.
+                self.notice_tasks.insert(tag.0, tid);
+                ctx.router.register(tag, ctx.region);
+                let pending = Pending {
                     node,
                     tag,
                     comm,
                     kind: PendingKind::Target { owned, allocs, writes },
-                }))
+                };
+                if let Err(error) =
+                    self.send_task(tid, node, (tag, comm), steps, payloads, exchanges)
+                {
+                    self.roll_back_launch(&pending, attached_deletes);
+                    return Err(error);
+                }
+                Ok(Some(pending))
             }
         }
     }
@@ -1310,28 +1211,18 @@ impl ExecutionBackend for MpiDriver<'_> {
         }
         match self.begin_task(task, node) {
             Ok(Some(pending)) => {
-                if matches!(pending.kind, PendingKind::Target { .. }) {
-                    self.notice_tasks.insert(pending.tag.0, task);
-                    self.ctx.router.register(pending.tag, self.ctx.region);
-                }
                 self.pending.insert(task, pending);
             }
             Ok(None) => self.ready.push_back(TaskEvent::Completed(task)),
-            // Head-side planning failures are task failures, not backend
-            // breakdowns: the core owns the propagate-vs-restart policy.
+            // Head-side planning and send failures are task failures, not
+            // backend breakdowns: the core owns the propagate-vs-restart
+            // policy.
             Err(error) => self.ready.push_back(TaskEvent::Failed { task, error }),
-        }
-        if !self.ctx.config.task_train_batching {
-            // Unbatched mode: every car departs alone, immediately — the
-            // wire protocol of the original per-task dispatch.
-            self.flush_trains();
         }
         Ok(())
     }
 
     fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
-        // The dispatch window is closed: every buffered train departs now.
-        self.flush_trains();
         let mut events: Vec<TaskEvent> = self.ready.drain(..).collect();
         // Whatever already arrived rides along without waiting.
         self.poll_replies(&mut events)?;
@@ -1378,9 +1269,8 @@ impl ExecutionBackend for MpiDriver<'_> {
     }
 
     fn epilogue(&mut self) -> OmpcResult<()> {
-        // `await_completions` flushed every train before the last
-        // completion, so only deferred maintenance that never found a
-        // composite-task carrier is left to flush here.
+        // Only deferred maintenance that never found a composite-task
+        // carrier is left to flush here.
         self.flush_pending_deletes()
     }
 
@@ -1559,71 +1449,33 @@ mod tests {
         device.shutdown();
     }
 
+    /// Regression test for the counter drift of re-dispatched tasks: a task
+    /// whose send fails part-way (here: its exchange notification names a
+    /// node the world does not have, after its payload frame already went
+    /// out) is rolled back and re-dispatched, so committing counters
+    /// interleaved with the sends would count the already-sent frames
+    /// twice. Accounting must commit only once every frame is on the wire
+    /// — the failed attempt counts nothing, the retry counts each frame
+    /// exactly once.
     #[test]
-    fn task_trains_match_unbatched_dispatch() {
-        let run = |batching: bool| {
-            let mut device = ClusterDevice::with_config(
-                2,
-                OmpcConfig { task_train_batching: batching, ..mpi_config() },
-            );
-            let bump = device.register_kernel_fn("bump", 1e-5, |args| {
-                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-                args.set_f64s(0, &v);
-            });
-            let mut region = device.target_region();
-            let buffers: Vec<_> = (0..5).map(|i| region.map_to_f64s(&[i as f64])).collect();
-            for &b in &buffers {
-                region.target(bump, vec![Dependence::inout(b)]);
-                region.target(bump, vec![Dependence::inout(b)]);
-            }
-            for &b in &buffers {
-                region.map_from(b);
-            }
-            let report = region.run().unwrap();
-            let values: Vec<Vec<f64>> =
-                buffers.iter().map(|&b| device.buffer_f64s(b).unwrap()).collect();
-            device.shutdown();
-            (report.target_tasks, report.data_events, report.bytes_moved, values)
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "a train is a packaging of the same per-task protocol: results, per-task \
-             event accounting, and bytes moved must not depend on batching"
-        );
-    }
-
-    /// Regression test for the counter drift of re-queued train cars: a
-    /// train that fails mid-send (here: a later car naming a communicator
-    /// the world does not have, after an earlier car's payload already
-    /// went out) is failed as a whole and its cars re-dispatched, so
-    /// committing counters interleaved with the sends would count the
-    /// already-sent cars twice. Accounting must commit only at a
-    /// successful flush — the failed attempt counts nothing, the retry
-    /// counts each car exactly once.
-    #[test]
-    fn mid_train_send_failure_commits_no_counters_until_the_retry_lands() {
-        use super::{BufferedCar, MpiContext, MpiDriver, NoticeRouter};
+    fn partial_send_failure_commits_no_counters_until_the_retry_lands() {
+        use super::{MpiContext, MpiDriver, NoticeRouter};
         use crate::buffer::BufferRegistry;
         use crate::data_manager::DataManager;
         use crate::event::EventSystem;
-        use crate::kernel::KernelRegistry;
+        use crate::protocol::EventRequest;
         use crate::runtime::telemetry::Telemetry;
         use crate::task::RegionGraph;
-        use crate::worker::worker_main;
-        use ompc_mpi::{CommId, Tag, World};
+        use crate::types::{BufferId, NodeId};
+        use ompc_mpi::World;
         use parking_lot::Mutex;
         use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
         use std::sync::atomic::Ordering;
         use std::sync::Arc;
 
-        let world = World::with_communicators(2, 2);
-        let kernels = Arc::new(KernelRegistry::new());
-        let worker = {
-            let comm = world.communicator(1);
-            let kernels = Arc::clone(&kernels);
-            std::thread::spawn(move || worker_main(comm, kernels, 1))
-        };
+        // Nothing runs on the workers: the sends are eager, and only the
+        // head's counters are under test.
+        let world = World::with_communicators(3, 2);
         let events = Arc::new(EventSystem::with_reply_timeout(world.communicator(0), None));
         let ctx = MpiContext {
             events: Arc::clone(&events),
@@ -1636,13 +1488,12 @@ mod tests {
             telemetry: Telemetry::off(),
             router: NoticeRouter::new(),
         };
-        let mut driver = MpiDriver {
+        let driver = MpiDriver {
             ctx: &ctx,
             pending: BTreeMap::new(),
             ready: VecDeque::new(),
             inflight: HashSet::new(),
             pending_deletes: BTreeMap::new(),
-            trains: BTreeMap::new(),
             notice_tasks: HashMap::new(),
             payload_cache: HashMap::new(),
         };
@@ -1654,44 +1505,27 @@ mod tests {
                 c.bytes_moved.load(Ordering::Relaxed),
             )
         };
-        let car = |task: usize, (tag, comm): (Tag, CommId), payload: Option<Vec<u8>>| BufferedCar {
-            task,
-            tag,
-            comm,
-            steps: Vec::new(),
-            payloads: payload.map(Arc::new).into_iter().collect(),
-            exchanges: Vec::new(),
-            exchange_bytes: Vec::new(),
-            attached_deletes: Vec::new(),
+        let send = |source: NodeId| {
+            driver.send_task(
+                0,
+                1,
+                events.open_channel(),
+                Vec::new(),
+                vec![Arc::new(vec![7u8; 16])],
+                vec![(source, EventRequest::ExchangeSend { buffer: BufferId(5), to: 1 }, 32)],
+            )
         };
 
-        let err = driver.send_train(
-            1,
-            vec![
-                car(0, events.open_channel(), Some(vec![7u8; 16])),
-                car(1, (events.open_channel().0, CommId(99)), None),
-            ],
-        );
-        assert!(err.is_err(), "a car on a communicator the world lacks must fail the send");
-        assert_eq!(snapshot(), (0, 0, 0), "a train that failed mid-send commits nothing");
+        assert!(send(99).is_err(), "an exchange source the world lacks must fail the send");
+        assert_eq!(snapshot(), (0, 0, 0), "a task that failed mid-send commits nothing");
 
-        driver
-            .send_train(
-                1,
-                vec![
-                    car(0, events.open_channel(), Some(vec![7u8; 16])),
-                    car(1, events.open_channel(), None),
-                ],
-            )
-            .unwrap();
+        send(2).unwrap();
         assert_eq!(
             snapshot(),
-            (3, 1, 16),
-            "the successful retry commits each car's event and its payload exactly once"
+            (3, 2, 48),
+            "the successful retry commits the task event, its payload and its exchange \
+             exactly once"
         );
-
-        let _ = events.shutdown(1);
-        let _ = worker.join();
     }
 
     #[test]

@@ -106,7 +106,10 @@ pub enum SpanPhase {
     /// Data path: lazy host flush of a device-resident buffer outside any
     /// task (`ClusterDevice::buffer_data`).
     HostFlush,
-    /// MPI backend: flushing a buffered task train onto the wire.
+    /// MPI backend: putting one task's dispatch notification onto the
+    /// wire. The name stays because the repository benchmark
+    /// (`BENCHMARK.json`) reads this phase as its `mpi.train_flush_us`
+    /// per-layer metric.
     TrainFlush,
     /// Data path: streaming a queued region's enter-data inputs (or an
     /// async `enter_data` distribution) while earlier work computes.

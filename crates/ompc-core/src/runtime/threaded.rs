@@ -683,46 +683,15 @@ impl RegionContext {
 /// the driver always receives exactly one outcome per launch.
 struct PoolJob(Box<dyn FnOnce() + Send>);
 
-/// Body of one head pool thread: drain jobs until the channel closes
-/// (device shutdown) or — with an idle timeout configured — no work arrived
-/// for that long. The exit protocol decrements the alive count *before* the
-/// final non-blocking drain, so a job enqueued concurrently with the
-/// timeout is either picked up here or observed by `submit`'s respawn
-/// check, never stranded.
-fn pool_thread_main(
-    rx: Receiver<PoolJob>,
-    alive: Arc<std::sync::atomic::AtomicUsize>,
-    idle_timeout: Option<std::time::Duration>,
-) {
-    loop {
-        let job = match idle_timeout {
-            None => match rx.recv() {
-                Ok(job) => job,
-                Err(_) => break,
-            },
-            Some(timeout) => match rx.recv_timeout(timeout) {
-                Ok(job) => job,
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    alive.fetch_sub(1, Ordering::SeqCst);
-                    match rx.try_recv() {
-                        // A job raced the reaper: take it and stay alive.
-                        Ok(job) => {
-                            alive.fetch_add(1, Ordering::SeqCst);
-                            job
-                        }
-                        Err(_) => return,
-                    }
-                }
-            },
-        };
+/// Body of one head pool thread: run jobs until the channel closes (device
+/// shutdown).
+fn pool_thread_main(rx: Receiver<PoolJob>) {
+    while let Ok(PoolJob(body)) = rx.recv() {
         // A panicking job (e.g. a debug assertion in the data layer) must
-        // not take the pool thread down with it — the alive count would go
-        // stale and a later `ensure_threads` would under-spawn.
-        let PoolJob(body) = job;
+        // not take the pool thread down with it — the pool would silently
+        // run one thread short.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     }
-    alive.fetch_sub(1, Ordering::SeqCst);
 }
 
 struct PoolState {
@@ -731,9 +700,6 @@ struct PoolState {
     /// Kept only to clone into newly spawned threads.
     job_rx: Receiver<PoolJob>,
     handles: Vec<JoinHandle<()>>,
-    /// Monotonic counter for thread names (threads reaped by the idle
-    /// timeout may be replaced, so names must not collide with the dead).
-    spawned: usize,
 }
 
 /// The long-lived head worker pool, owned by
@@ -743,20 +709,11 @@ struct PoolState {
 /// Threads are spawned lazily: each region asks for
 /// `min(head_worker_threads, window, tasks)` threads and the pool grows to
 /// the largest such request seen so far — a small region never pays for 48
-/// idle threads, and repeated region executions never re-spawn a pool.
-/// With [`crate::config::OmpcConfig::pool_idle_timeout_ms`] set, a thread
-/// that receives no work for that long exits, so the pool also *shrinks*
-/// below its high-water mark on devices alternating huge and tiny regions
-/// (and re-grows lazily on the next demanding region). On
+/// idle threads, and repeated region executions never re-spawn a pool. On
 /// [`HeadWorkerPool::drain`] (device shutdown / drop) the job channel
 /// closes, in-flight jobs finish, and every thread is joined.
 pub struct HeadWorkerPool {
     state: Mutex<PoolState>,
-    /// Number of threads currently alive (spawned and not yet exited).
-    alive: Arc<std::sync::atomic::AtomicUsize>,
-    /// Idle timeout after which a pool thread exits; `None` disables the
-    /// reaper (the pool only ever grows).
-    idle_timeout: Option<std::time::Duration>,
 }
 
 impl Default for HeadWorkerPool {
@@ -769,61 +726,36 @@ impl HeadWorkerPool {
     /// Create an empty pool; threads are spawned on first use and live for
     /// the pool's lifetime.
     pub fn new() -> Self {
-        Self::with_idle_timeout(None)
-    }
-
-    /// Create an empty pool whose idle threads exit after `idle_timeout`
-    /// of receiving no work (`None` disables the reaper).
-    pub fn with_idle_timeout(idle_timeout: Option<std::time::Duration>) -> Self {
         let (job_tx, job_rx) = crossbeam::channel::unbounded::<PoolJob>();
-        Self {
-            state: Mutex::new(PoolState {
-                job_tx: Some(job_tx),
-                job_rx,
-                handles: Vec::new(),
-                spawned: 0,
-            }),
-            alive: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
-            idle_timeout,
-        }
+        Self { state: Mutex::new(PoolState { job_tx: Some(job_tx), job_rx, handles: Vec::new() }) }
     }
 
-    /// Number of threads currently alive in the pool.
+    /// Number of threads the pool has spawned (all alive until
+    /// [`HeadWorkerPool::drain`]).
     pub fn threads(&self) -> usize {
-        self.alive.load(Ordering::SeqCst)
+        self.state.lock().handles.len()
     }
 
-    /// Grow the pool to at least `needed` alive threads (no-op when already
+    /// Grow the pool to at least `needed` threads (no-op when already
     /// large enough or after [`HeadWorkerPool::drain`]).
     fn ensure_threads(&self, needed: usize) {
         let mut state = self.state.lock();
         if state.job_tx.is_none() {
             return;
         }
-        // Handles of threads the idle reaper already retired are spent.
-        state.handles.retain(|h| !h.is_finished());
-        while self.alive.load(Ordering::SeqCst) < needed {
+        while state.handles.len() < needed {
             let rx = state.job_rx.clone();
-            let i = state.spawned;
-            state.spawned += 1;
-            let alive = Arc::clone(&self.alive);
-            let idle_timeout = self.idle_timeout;
-            alive.fetch_add(1, Ordering::SeqCst);
             let handle = std::thread::Builder::new()
-                .name(format!("ompc-head-{i}"))
-                .spawn(move || pool_thread_main(rx, alive, idle_timeout))
+                .name(format!("ompc-head-{}", state.handles.len()))
+                .spawn(move || pool_thread_main(rx))
                 .expect("failed to spawn head worker thread");
             state.handles.push(handle);
         }
     }
 
-    /// Submit one closure job; fails if the pool has been drained. If the
-    /// pool is empty — never sized by a region, or reaped idle since — one
-    /// thread is spawned so the job cannot strand in the queue. (SeqCst
-    /// ordering with the reaper's exit protocol: if this load sees an alive
-    /// thread, that thread's final non-blocking drain of the queue happens
-    /// after our enqueue, so it picks the job up; if it sees none, we
-    /// respawn.)
+    /// Submit one closure job; fails if the pool has been drained. A pool
+    /// no region ever sized (the device's transfer pool) gets one thread on
+    /// first use, so the job cannot strand in the queue.
     pub(crate) fn submit_closure(&self, body: Box<dyn FnOnce() + Send>) -> OmpcResult<()> {
         let tx =
             self.state.lock().job_tx.clone().ok_or_else(|| {
@@ -831,9 +763,7 @@ impl HeadWorkerPool {
             })?;
         tx.send(PoolJob(body))
             .map_err(|_| OmpcError::Internal("head worker pool terminated early".to_string()))?;
-        if self.alive.load(Ordering::SeqCst) == 0 {
-            self.ensure_threads(1);
-        }
+        self.ensure_threads(1);
         Ok(())
     }
 

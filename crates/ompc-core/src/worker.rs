@@ -180,7 +180,6 @@ fn event_outcome(
             Ok((Vec::new(), None))
         }
         EventRequest::ExchangeSend { .. }
-        | EventRequest::TaskTrain(_)
         | EventRequest::SubmitTrain { .. }
         | EventRequest::RelayRecv { .. }
         | EventRequest::RelayFeed { .. }
@@ -479,36 +478,6 @@ pub fn handle_event(
             channel.send(HEAD_RANK, tag, reply.encode())?;
             outcome
         }
-        EventRequest::TaskTrain(cars) => {
-            // Run the cars strictly in order, replying per car on each
-            // car's own exclusive channel — a failed car replies its typed
-            // error and the train keeps rolling (tasks are independent;
-            // the head's per-task blame machinery decides what a failure
-            // means). The first car error is this handler's own outcome.
-            let mut result = Ok(());
-            for car in cars {
-                let channel = comm.on(car.comm)?;
-                // Each car stamps its own pickup time: cars run strictly in
-                // order, so car N's recv marks when the handler reached it.
-                let car_recv_us = notification.timed.then(monotonic_us);
-                let outcome =
-                    run_task_steps(&channel, memory, kernels, car.spec, car.tag, car_recv_us);
-                let (reply, ok) = match outcome {
-                    Ok(Some(stamps)) => (EventReply::OkTimed(stamps, Vec::new()), true),
-                    Ok(None) => (EventReply::Ok(Vec::new()), true),
-                    Err(e) => {
-                        let remote = as_remote(node, car.tag, e.clone());
-                        if result.is_ok() {
-                            result = Err(e);
-                        }
-                        (EventReply::Err(remote), false)
-                    }
-                };
-                channel.send(HEAD_RANK, car.tag, reply.encode())?;
-                post_completion(comm, car.tag, ok);
-            }
-            result
-        }
         request => {
             let is_task = matches!(request, EventRequest::Task(_));
             let outcome = event_outcome(&channel, memory, kernels, request, tag, recv_us);
@@ -528,21 +497,9 @@ pub fn handle_event(
 }
 
 /// Refuse an event on a killed node: reply with the node's failure instead
-/// of executing anything, so no peer ever blocks on a dead node. Every car
-/// of a task train is refused individually — the zombie gate answers on
-/// each car's own channel (and completion notice), exactly as it would for
-/// unbatched tasks.
+/// of executing anything, so no peer ever blocks on a dead node.
 fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcResult<()> {
     let node = comm.rank();
-    if let EventRequest::TaskTrain(cars) = &notification.request {
-        for car in cars {
-            let channel = comm.on(car.comm)?;
-            let error = as_remote(node, car.tag, OmpcError::NodeFailure(node));
-            channel.send(HEAD_RANK, car.tag, EventReply::Err(error).encode())?;
-            post_completion(comm, car.tag, false);
-        }
-        return Ok(());
-    }
     let channel = comm.on(notification.comm)?;
     let error = as_remote(node, notification.tag, OmpcError::NodeFailure(node));
     let dest = match notification.request {
@@ -926,84 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn task_train_replies_per_car_and_posts_notices_in_order() {
-        use crate::protocol::{TaskSpec, TaskStep, TrainCar};
-        let world = World::with_communicators(2, 2);
-        let head = world.communicator(0);
-        let worker = world.communicator(1);
-        let memory = DeviceMemory::new();
-        let kernels = KernelRegistry::new();
-        let bump = kernels.register_fn("bump", 1e-6, |args| {
-            let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-            args.set_f64s(0, &v);
-        });
-
-        // Car 1 succeeds; car 2 names an unregistered kernel and fails.
-        let good = TrainCar {
-            tag: Tag(50),
-            comm: CommId(1),
-            spec: TaskSpec {
-                steps: vec![
-                    TaskStep::RecvFromHead { buffer: BufferId(1) },
-                    TaskStep::Execute { kernel: bump, buffers: vec![BufferId(1)] },
-                ],
-            },
-        };
-        let bad = TrainCar {
-            tag: Tag(51),
-            comm: CommId(0),
-            spec: TaskSpec {
-                steps: vec![TaskStep::Execute { kernel: KernelId(99), buffers: vec![] }],
-            },
-        };
-        // The good car's payload travels on the car's own channel.
-        head.on(CommId(1))
-            .unwrap()
-            .send(1, Tag(50), ompc_mpi::typed::f64s_to_bytes(&[1.0]))
-            .unwrap();
-        let err = handle_event(
-            &worker,
-            &memory,
-            &kernels,
-            EventNotification {
-                request: EventRequest::TaskTrain(vec![good, bad]),
-                tag: Tag(50),
-                comm: CommId(1),
-                timed: false,
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, OmpcError::UnknownKernel(KernelId(99)), "first car error is the outcome");
-
-        // Per-car replies on each car's own channel.
-        let ok = head.on(CommId(1)).unwrap().recv(Some(1), Some(Tag(50))).unwrap();
-        assert!(EventReply::decode(&ok.data).unwrap().into_result().is_ok());
-        let bad_reply = head.on(CommId(0)).unwrap().recv(Some(1), Some(Tag(51))).unwrap();
-        let bad_err = EventReply::decode(&bad_reply.data).unwrap().into_result().unwrap_err();
-        assert_eq!(bad_err.origin_node(), Some(1), "blame stays per task inside a train");
-        assert_eq!(bad_err.root_cause(), &OmpcError::UnknownKernel(KernelId(99)));
-        // The failed car did not abort the train: the good car executed.
-        assert_eq!(
-            memory.get(BufferId(1)),
-            Some(ompc_mpi::typed::f64s_to_bytes(&[2.0])),
-            "earlier cars execute regardless of later failures"
-        );
-
-        // Two completion notices, in car order, with per-car outcomes.
-        use crate::protocol::{CompletionNotice, COMPLETION_TAG};
-        let n1 = head.recv(Some(1), Some(COMPLETION_TAG)).unwrap();
-        let n2 = head.recv(Some(1), Some(COMPLETION_TAG)).unwrap();
-        assert_eq!(
-            CompletionNotice::decode(&n1.data).unwrap(),
-            CompletionNotice { tag: Tag(50), ok: true }
-        );
-        assert_eq!(
-            CompletionNotice::decode(&n2.data).unwrap(),
-            CompletionNotice { tag: Tag(51), ok: false }
-        );
-    }
-
-    #[test]
     fn submit_train_stores_payloads_in_order_and_posts_one_notice() {
         use crate::protocol::PREFETCH_TAG;
         let world = World::with_communicators(2, 2);
@@ -1274,60 +1153,6 @@ mod tests {
         assert!(memory.is_empty());
         let msg = head.recv(Some(1), Some(Tag(60))).unwrap();
         assert!(EventReply::decode(&msg.data).unwrap().into_result().is_ok());
-    }
-
-    #[test]
-    fn killed_worker_refuses_every_train_car_individually() {
-        use crate::protocol::{CompletionNotice, TaskSpec, TaskStep, TrainCar, COMPLETION_TAG};
-        let world = World::with_communicators(2, 2);
-        let head = world.communicator(0);
-        let worker_comm = world.communicator(1);
-        let kernels = Arc::new(KernelRegistry::new());
-        let worker = std::thread::spawn(move || worker_main(worker_comm, kernels, 1));
-
-        let kill = EventNotification {
-            request: EventRequest::Kill,
-            tag: Tag(70),
-            comm: CommId(0),
-            timed: false,
-        };
-        head.send(1, CONTROL_TAG, kill.encode()).unwrap();
-        let cars: Vec<TrainCar> = [71u64, 72]
-            .iter()
-            .map(|&t| TrainCar {
-                tag: Tag(t),
-                comm: CommId((t % 2) as u32),
-                spec: TaskSpec { steps: vec![TaskStep::Alloc { buffer: BufferId(t), size: 8 }] },
-            })
-            .collect();
-        let train = EventNotification {
-            request: EventRequest::TaskTrain(cars),
-            tag: Tag(71),
-            comm: CommId(1),
-            timed: false,
-        };
-        head.send(1, CONTROL_TAG, train.encode()).unwrap();
-
-        for tag in [71u64, 72] {
-            let msg =
-                head.on(CommId((tag % 2) as u32)).unwrap().recv(Some(1), Some(Tag(tag))).unwrap();
-            let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
-            assert_eq!(err.origin_node(), Some(1), "car {tag}");
-            assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1), "car {tag}");
-            let notice = head.recv(Some(1), Some(COMPLETION_TAG)).unwrap();
-            assert_eq!(
-                CompletionNotice::decode(&notice.data).unwrap(),
-                CompletionNotice { tag: Tag(tag), ok: false }
-            );
-        }
-        let shutdown = EventNotification {
-            request: EventRequest::Shutdown,
-            tag: Tag(73),
-            comm: CommId(0),
-            timed: false,
-        };
-        head.send(1, CONTROL_TAG, shutdown.encode()).unwrap();
-        worker.join().unwrap();
     }
 
     #[test]

@@ -13,9 +13,7 @@ use std::sync::Arc;
 ///
 /// Clones share the underlying world, so a single rank may hand communicator
 /// handles to several of its threads (the OMPC gate thread and event-handler
-/// pool do exactly this). All operations are thread-safe; MPI's usual
-/// requirement that collectives be invoked in the same order on every rank
-/// still applies.
+/// pool do exactly this). All operations are thread-safe.
 #[derive(Debug, Clone)]
 pub struct Communicator {
     world: Arc<WorldInner>,
@@ -151,11 +149,6 @@ impl Communicator {
     pub fn send_recv(&self, dest: Rank, tag: Tag, data: Vec<u8>) -> MpiResult<Message> {
         self.send(dest, tag, data)?;
         self.recv(Some(dest), Some(tag))
-    }
-
-    pub(crate) fn next_collective_seq(&self) -> u64 {
-        self.world.rank_states[self.rank].coll_seq[self.comm.0 as usize]
-            .fetch_add(1, Ordering::Relaxed)
     }
 }
 

@@ -25,9 +25,6 @@ pub enum MpiError {
     PeerTerminated { peer: Rank, tag: Option<Tag> },
     /// A request was waited on twice or its payload was already taken.
     RequestConsumed,
-    /// A collective was invoked with inconsistent parameters across ranks
-    /// (e.g. different roots for a broadcast).
-    CollectiveMismatch(String),
     /// Payload could not be reinterpreted as the requested element type.
     TypeConversion { expected: &'static str, len: usize },
     /// A timed receive gave up before a matching message arrived. Used by
@@ -49,7 +46,6 @@ impl fmt::Display for MpiError {
                 None => write!(f, "peer rank {peer} terminated"),
             },
             MpiError::RequestConsumed => write!(f, "request already waited on / payload taken"),
-            MpiError::CollectiveMismatch(m) => write!(f, "collective mismatch: {m}"),
             MpiError::TypeConversion { expected, len } => {
                 write!(f, "payload of {len} bytes is not a whole number of {expected} elements")
             }

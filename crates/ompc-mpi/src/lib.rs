@@ -11,8 +11,7 @@
 //! * message probing (used by the gate thread to discover new events),
 //! * multiple communicators mapped round-robin to independent progress
 //!   channels (the paper maps them to hardware Virtual Communication
-//!   Interfaces), and
-//! * a handful of collectives (barrier, broadcast, reduce, gather).
+//!   Interfaces).
 //!
 //! There is no production-grade MPI binding in the Rust ecosystem that can
 //! run on a laptop without an MPI installation, so this crate implements the
@@ -44,7 +43,6 @@
 //! }
 //! ```
 
-pub mod collective;
 pub mod comm;
 pub mod error;
 pub mod mailbox;

@@ -13,10 +13,6 @@ pub(crate) struct RankState {
     /// Monotonic send sequence number towards each destination rank, used to
     /// stamp envelopes (diagnostic ordering information).
     pub(crate) send_seq: Vec<AtomicU64>,
-    /// Per-communicator collective sequence number. All ranks must invoke
-    /// collectives on a communicator in the same order (as MPI requires),
-    /// which keeps these counters aligned across ranks.
-    pub(crate) coll_seq: Vec<AtomicU64>,
     /// The rank's emulated egress link: the instant the link finishes
     /// transmitting everything reserved so far. Each paced send reserves
     /// its own wire slot on this shared timeline and then sleeps until its
@@ -104,7 +100,6 @@ impl World {
         let rank_states = (0..size)
             .map(|_| RankState {
                 send_seq: (0..size).map(|_| AtomicU64::new(0)).collect(),
-                coll_seq: (0..num_comms).map(|_| AtomicU64::new(0)).collect(),
                 egress: Mutex::new(None),
             })
             .collect();

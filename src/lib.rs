@@ -6,7 +6,7 @@
 //! downstream users can depend on a single crate.
 //!
 //! * [`mpi`] — in-process MPI-like message passing (ranks, tags,
-//!   communicators, collectives).
+//!   communicators).
 //! * [`sim`] — deterministic discrete-event cluster simulator.
 //! * [`sched`] — HEFT and the baseline schedulers.
 //! * [`runtime`] — the OMPC runtime itself: cluster device, target regions,

@@ -294,51 +294,3 @@ fn out_of_range_task_error_is_rejected_by_all_backends() {
         }
     });
 }
-
-#[test]
-fn idle_pool_threads_are_reaped_after_the_timeout() {
-    with_timeout(WATCHDOG, || {
-        // With `pool_idle_timeout_ms` set, the long-lived pool shrinks
-        // below its high-water mark once the device goes quiet — the fix
-        // for devices alternating huge and tiny regions — and re-grows
-        // lazily when the next region needs threads again.
-        let config = OmpcConfig {
-            head_worker_threads: 4,
-            pool_idle_timeout_ms: Some(100),
-            ..OmpcConfig::small()
-        };
-        let mut device = ClusterDevice::with_config(2, config);
-        let noop = device.register_kernel_fn("noop", 1e-6, |_| {});
-
-        let mut region = device.target_region();
-        let buffers: Vec<BufferId> = (0..8).map(|i| region.map_to_f64s(&[i as f64])).collect();
-        for &b in &buffers {
-            region.target(noop, vec![Dependence::inout(b)]);
-        }
-        region.run().unwrap();
-        assert_eq!(device.pool_threads(), 4, "the region grew the pool to the thread cap");
-
-        // Past the idle timeout every thread exits; poll rather than
-        // assuming exact reaper timing.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while device.pool_threads() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert_eq!(device.pool_threads(), 0, "idle threads must be reaped after the timeout");
-
-        // The next region re-grows the pool and still runs correctly.
-        let mut region = device.target_region();
-        let a = region.map_to_f64s(&[41.0]);
-        let bump = device.register_kernel_fn("bump", 1e-6, |args| {
-            let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-            args.set_f64s(0, &v);
-        });
-        region.target(bump, vec![Dependence::inout(a)]);
-        region.map_from(a);
-        region.run().unwrap();
-        assert_eq!(device.buffer_f64s(a).unwrap(), vec![42.0]);
-        assert!(device.pool_threads() > 0, "the pool re-grew for the new region");
-        device.shutdown();
-        assert_eq!(device.pool_threads(), 0);
-    });
-}

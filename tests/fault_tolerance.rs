@@ -218,20 +218,19 @@ fn mpi_region_survives_a_mid_region_failure_with_identical_buffers() {
     });
 }
 
-/// Per-task blame inside a task train: one broken car must not poison its
-/// siblings. With a single worker and a wide-open window, every task of the
-/// region departs in one multi-car train; the worker keeps the train rolling
-/// past the failing car, so the siblings execute and the region surfaces the
-/// bad car's own typed error, blamed on the worker that ran it.
+/// Per-task blame with several tasks outstanding on one node: one broken
+/// task must not poison its siblings. With a single worker and a wide-open
+/// window, every task of the region is outstanding at once; the siblings
+/// still execute and the region surfaces the bad task's own typed error,
+/// blamed on the worker that ran it.
 #[test]
-fn train_car_errors_blame_only_the_failing_task() {
+fn task_errors_blame_only_the_failing_task() {
     with_timeout(WATCHDOG, || {
         let config = OmpcConfig {
             backend: BackendKind::Mpi,
             max_inflight_tasks: Some(8),
             ..OmpcConfig::small()
         };
-        assert!(config.task_train_batching, "batching is the default under test");
         let device = ClusterDevice::with_config(1, config);
         let counter = Arc::new(AtomicUsize::new(0));
         let count = {
@@ -250,25 +249,25 @@ fn train_car_errors_blame_only_the_failing_task() {
         region.target(count, vec![Dependence::inout(buffers[4])]);
         let err = region.run().unwrap_err();
         assert_eq!(err.root_cause(), &OmpcError::UnknownKernel(bogus), "got {err:?}");
-        assert_eq!(err.origin_node(), Some(1), "blame stays on the car's own worker");
+        assert_eq!(err.origin_node(), Some(1), "blame stays on the task's own worker");
         assert_eq!(
             counter.load(Ordering::SeqCst),
             4,
-            "the train rolled past the broken car: every sibling executed"
+            "the broken task did not stop its siblings: every sibling executed"
         );
     });
 }
 
-/// A node dying while a multi-car train is outstanding on it: the zombie
-/// gate refuses the unretired cars individually, the head blames the node
-/// (not the tasks), and recovery re-executes the lost work on the survivor.
+/// A node dying while several of its tasks are outstanding: the zombie gate
+/// refuses the unretired tasks individually, the head blames the node (not
+/// the tasks), and recovery re-executes the lost work on the survivor.
 #[test]
-fn mid_train_node_death_recovers_on_the_survivors() {
+fn node_death_with_tasks_outstanding_recovers_on_the_survivors() {
     with_timeout(WATCHDOG, || {
         // Eight independent tasks, interleaved across both workers, window
-        // wide open: with batching on, the whole assignment departs as two
-        // multi-car trains. Node 1 dies right after its first retirement,
-        // with the rest of its train still outstanding.
+        // wide open: the whole assignment is outstanding at once. Node 1
+        // dies right after its first retirement, with the rest of its tasks
+        // still outstanding.
         let n = 8usize;
         let mut g = TaskGraph::new();
         for _ in 0..n {
@@ -279,7 +278,6 @@ fn mid_train_node_death_recovers_on_the_survivors() {
         let mut config = fault_config(FaultPlan::none().fail_after_completions(1, 1));
         config.backend = BackendKind::Mpi;
         config.max_inflight_tasks = Some(n);
-        assert!(config.task_train_batching, "batching is the default under test");
         let plan = RuntimePlan { assignment, window: config.inflight_window() };
         let mut device = ClusterDevice::with_config(2, config);
         let record = device.run_workload(&workload, &plan).unwrap();
@@ -291,7 +289,7 @@ fn mid_train_node_death_recovers_on_the_survivors() {
         retired.sort_unstable();
         retired.dedup();
         assert_eq!(retired, (0..n).collect::<Vec<_>>(), "every task must still retire once");
-        assert!(!record.replanned.is_empty(), "the dead node's cars moved somewhere");
+        assert!(!record.replanned.is_empty(), "the dead node's tasks moved somewhere");
         assert!(
             record.replanned.iter().all(|r| r.from == 1 && r.to == 2),
             "recovery must move work off the dead node onto the survivor: {:?}",
