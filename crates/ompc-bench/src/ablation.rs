@@ -65,7 +65,7 @@ pub fn run_ablation() -> Vec<AblationRow> {
         seconds: measure(&OmpcConfig::legacy_libomptarget(), &cluster, &tb),
     });
     {
-        let config = OmpcConfig { enforce_in_flight_limit: false, ..OmpcConfig::default() };
+        let config = OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
         rows.push(AblationRow {
             study: "in-flight-limit".to_string(),
             variant: "unlimited".to_string(),

@@ -22,6 +22,7 @@ use crate::protocol::{COMPLETION_TAG, PREFETCH_TAG};
 use crate::region::TargetRegion;
 use crate::runtime::fault::{FaultPlan, FaultState};
 use crate::runtime::mpi::NoticeRouter;
+use crate::runtime::recipe::{self, RegionRun};
 use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::runtime::{
     HeadWorkerPool, MpiBackend, ResidencyMap, RunRecord, RuntimeCore, RuntimePlan, ThreadedBackend,
@@ -394,8 +395,9 @@ impl ClusterDevice {
         // `plan_input`, so the async record must carry the same reason for
         // the transfer plans to compare byte-identical.
         if let Some(node) = self.predict_first_reader(buffer) {
+            // Just registered above, so the booking cannot be rejected.
             let plan = self.dm.lock().begin_inflight(buffer, node, TransferReason::Input, ticket);
-            if let Some(plan) = plan {
+            if let Ok(Some(plan)) = plan {
                 self.spawn_transfer_job(plan, "async enter-data");
             }
         }
@@ -664,8 +666,7 @@ impl ClusterDevice {
         detail: &'static str,
     ) -> OmpcResult<()> {
         let t0 = telemetry.start();
-        let data = events.retrieve(from, buffer)?;
-        let bytes = data.len() as u64;
+        let bytes = recipe::retrieve_and_commit(events, buffers, dm, UNATTRIBUTED, from, buffer)?;
         if telemetry.spans_enabled() {
             telemetry.record(
                 Span::new(SpanPhase::HostFlush, HEAD_NODE, t0, monotonic_us())
@@ -674,12 +675,6 @@ impl ClusterDevice {
                     .detail(detail),
             );
         }
-        buffers.set(buffer, data)?;
-        let mut dm = dm.lock();
-        // A kernel may have resized the device copy; the observed size
-        // keeps this and every later transfer-log entry truthful.
-        dm.observe_size(buffer, bytes);
-        dm.record_retrieve(buffer);
         Ok(())
     }
 
@@ -1027,10 +1022,12 @@ impl ClusterDevice {
                         let bytes = self.buffers.size_of(buffer).unwrap_or(0) as u64;
                         dm.register_host_buffer(buffer, bytes);
                     }
-                    if dm.retrieve_source(buffer).is_some() || dm.buffer_in_flight(buffer) {
+                    if matches!(dm.retrieve_source(buffer), Ok(Some(_)))
+                        || dm.buffer_in_flight(buffer)
+                    {
                         continue;
                     }
-                    let Some(plan) = dm.begin_inflight(buffer, node, reason, ticket) else {
+                    let Ok(Some(plan)) = dm.begin_inflight(buffer, node, reason, ticket) else {
                         continue;
                     };
                     // MPI prefetches from the head batch into per-node
@@ -1113,7 +1110,7 @@ impl ClusterDevice {
                     let ticket = dm.open_ticket();
                     let mut destinations = Vec::with_capacity(dests.len());
                     for (&node, &reason) in &dests {
-                        if dm.begin_inflight(buffer, node, reason, ticket).is_some() {
+                        if matches!(dm.begin_inflight(buffer, node, reason, ticket), Ok(Some(_))) {
                             destinations.push(node);
                         }
                     }
@@ -1150,7 +1147,9 @@ impl ClusterDevice {
                 if node == HEAD_NODE {
                     continue;
                 }
-                if let Some(plan) =
+                // An unregistered buffer streams nothing; the region's own
+                // enter-data task reports it.
+                if let Ok(Some(plan)) =
                     dm.begin_inflight(buffer, node, TransferReason::EnterData, ticket)
                 {
                     jobs.push(plan);
@@ -1557,35 +1556,23 @@ impl ClusterDevice {
             None => RuntimeCore::new(graph.as_ref(), plan),
         };
         core.set_telemetry(Arc::clone(telemetry));
+        let run = RegionRun {
+            events: Arc::clone(&self.events),
+            buffers: Arc::clone(&self.buffers),
+            dm: Arc::clone(&self.dm),
+            region,
+            graph,
+            host_fns,
+            config: self.config.clone(),
+            telemetry: Arc::clone(telemetry),
+        };
         let result = match self.config.backend {
             BackendKind::Threaded => {
-                let backend = ThreadedBackend::new(
-                    &self.pool,
-                    Arc::clone(&self.events),
-                    Arc::clone(&self.buffers),
-                    Arc::clone(&self.dm),
-                    region,
-                    graph,
-                    host_fns,
-                    &self.config,
-                    Arc::clone(telemetry),
-                    Arc::clone(&self.inflight_cv),
-                );
-                backend.execute(&mut core)
+                ThreadedBackend::new(&self.pool, run, Arc::clone(&self.inflight_cv))
+                    .execute(&mut core)
             }
             BackendKind::Mpi => {
-                let backend = MpiBackend::new(
-                    Arc::clone(&self.events),
-                    Arc::clone(&self.buffers),
-                    Arc::clone(&self.dm),
-                    region,
-                    graph,
-                    host_fns,
-                    &self.config,
-                    Arc::clone(telemetry),
-                    Arc::clone(&self.notice_router),
-                );
-                backend.execute(&mut core)
+                MpiBackend::new(run, Arc::clone(&self.notice_router)).execute(&mut core)
             }
             BackendKind::Sim => Err(OmpcError::InvalidConfig(
                 "a ClusterDevice cannot drive the simulated backend; use the simulate_ompc* \

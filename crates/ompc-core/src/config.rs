@@ -19,9 +19,9 @@ pub enum BackendKind {
     Threaded,
     /// [`crate::runtime::MpiBackend`]: pure message passing — the head
     /// serializes each task into one composite event carried over
-    /// `ompc-mpi` tagged messages and probes for typed completion replies,
-    /// as the paper's gate thread does. No head pool threads block per
-    /// in-flight task.
+    /// `ompc-mpi` tagged messages and blocks on one completion channel for
+    /// the typed replies, as the paper's gate thread does. No head pool
+    /// threads block per in-flight task.
     Mpi,
     /// [`crate::runtime::SimBackend`]: the deterministic virtual cluster.
     /// Selected implicitly by the `simulate_ompc*` family; a
@@ -121,12 +121,10 @@ pub struct OmpcConfig {
     /// input forwarding with other regions' compute. `None` reproduces the
     /// libomptarget-style per-thread limit (`head_worker_threads`, the §7
     /// bottleneck); `Some(n)` sets the window explicitly, independent of
-    /// the thread pool.
-    pub max_inflight_tasks: Option<usize>,
-    /// Whether the in-flight limit is enforced (disabling it models the
+    /// the thread pool. `Some(usize::MAX)` lifts the limit altogether — the
     /// "fully asynchronous libomptarget" fix the paper proposes as future
-    /// work; used in the ablation bench).
-    pub enforce_in_flight_limit: bool,
+    /// work, used in the ablation bench.
+    pub max_inflight_tasks: Option<usize>,
     /// Issue a task's input transfers strictly one at a time, the way a
     /// blocked libomptarget head thread processes a target region's map
     /// items in order. Disabled by default: the pipelined dispatch loop
@@ -158,8 +156,10 @@ pub struct OmpcConfig {
     /// Number of consecutive missed heartbeat periods after which a silent
     /// node is declared failed.
     pub heartbeat_miss_threshold: u32,
-    /// Upper bound (milliseconds) on any single wait for an event reply in
-    /// the threaded backend, or `None` to wait forever. The event-reply
+    /// Upper bound (milliseconds) on any single wait for an event reply,
+    /// honoured by both real backends (the threaded backend's blocking
+    /// event waits and the MPI backend's completion wait and `AwaitLocal`
+    /// steps), or `None` to wait forever. The event-reply
     /// protocol guarantees every event is answered — success or typed
     /// error — so this is a last line of defence against a reply that can
     /// never arrive (e.g. a worker thread that died without answering);
@@ -262,7 +262,6 @@ impl Default for OmpcConfig {
             event_handler_threads: 2,
             head_worker_threads: 48,
             max_inflight_tasks: None,
-            enforce_in_flight_limit: true,
             serial_input_transfers: false,
             num_communicators: 8,
             scheduler: SchedulerKind::Heft,
@@ -293,7 +292,6 @@ impl OmpcConfig {
             event_handler_threads: 1,
             head_worker_threads: 4,
             max_inflight_tasks: None,
-            enforce_in_flight_limit: true,
             serial_input_transfers: false,
             num_communicators: 2,
             scheduler: SchedulerKind::Heft,
@@ -322,15 +320,11 @@ impl OmpcConfig {
     }
 
     /// The effective dispatch-window size honoured by every execution
-    /// backend: `usize::MAX` when the limit is lifted, the explicit
-    /// [`OmpcConfig::max_inflight_tasks`] when set, and the libomptarget
-    /// per-thread limit otherwise.
+    /// backend: the explicit [`OmpcConfig::max_inflight_tasks`] when set
+    /// (at least one task), and the libomptarget per-thread limit
+    /// otherwise.
     pub fn inflight_window(&self) -> usize {
-        if !self.enforce_in_flight_limit {
-            usize::MAX
-        } else {
-            self.max_inflight_tasks.unwrap_or(self.head_worker_threads).max(1)
-        }
+        self.max_inflight_tasks.unwrap_or(self.head_worker_threads).max(1)
     }
 
     /// The effective admission limit: how many regions may execute at once.
@@ -481,7 +475,8 @@ mod tests {
     #[test]
     fn default_config_enforces_in_flight_limit() {
         let c = OmpcConfig::default();
-        assert!(c.enforce_in_flight_limit);
+        assert_eq!(c.max_inflight_tasks, None);
+        assert_eq!(c.inflight_window(), c.head_worker_threads);
         assert_eq!(c.head_worker_threads, 48);
         assert!(c.num_communicators >= 1);
         let s = OmpcConfig::small();
@@ -497,8 +492,8 @@ mod tests {
         assert_eq!(c.inflight_window(), 7);
         c.max_inflight_tasks = Some(0);
         assert_eq!(c.inflight_window(), 1, "window is clamped to at least one task");
-        c.enforce_in_flight_limit = false;
-        assert_eq!(c.inflight_window(), usize::MAX);
+        c.max_inflight_tasks = Some(usize::MAX);
+        assert_eq!(c.inflight_window(), usize::MAX, "the limit is lifted");
         let legacy = OmpcConfig::legacy_libomptarget();
         assert!(legacy.serial_input_transfers);
         assert_eq!(legacy.inflight_window(), legacy.head_worker_threads);

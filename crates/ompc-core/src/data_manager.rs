@@ -43,7 +43,7 @@
 //! needs one of them transparently re-sources it from a surviving replica
 //! or from the host version.
 
-use crate::types::{BufferId, NodeId, OmpcError};
+use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The head node's id; the host copy of a buffer lives there.
@@ -324,9 +324,14 @@ impl DataManager {
     /// present; otherwise returns a transfer from the most recent holder,
     /// records the new replica, and logs the transfer with
     /// [`TransferReason::Input`] in the [`UNATTRIBUTED`] namespace.
+    ///
+    /// # Panics
+    ///
+    /// On an unregistered buffer; the execution backends plan through
+    /// [`DataManager::plan_input_as_in`], which returns
+    /// [`OmpcError::UnknownBuffer`] instead.
     pub fn plan_input(&mut self, buffer: BufferId, node: NodeId) -> Option<TransferPlan> {
-        self.plan_input_as_in(UNATTRIBUTED, buffer, node, TransferReason::Input)
-            .expect("device-level plans are exempt from the first-touch guard")
+        self.plan_input_as(buffer, node, TransferReason::Input)
     }
 
     /// [`DataManager::plan_input`] logging into `region`'s namespace — the
@@ -346,7 +351,12 @@ impl DataManager {
     /// [`DataManager::plan_input`] with an explicit log classification —
     /// enter-data distributions use [`TransferReason::EnterData`] so the
     /// transfer observability can tell initial distribution from steady-
-    /// state forwarding. Logs into the [`UNATTRIBUTED`] namespace.
+    /// state forwarding. Logs into the [`UNATTRIBUTED`] namespace, whose
+    /// plans are exempt from the first-touch guard.
+    ///
+    /// # Panics
+    ///
+    /// On an unregistered buffer, as [`DataManager::plan_input`].
     pub fn plan_input_as(
         &mut self,
         buffer: BufferId,
@@ -354,7 +364,7 @@ impl DataManager {
         reason: TransferReason,
     ) -> Option<TransferPlan> {
         self.plan_input_as_in(UNATTRIBUTED, buffer, node, reason)
-            .expect("device-level plans are exempt from the first-touch guard")
+            .unwrap_or_else(|e| panic!("device-level plan_input: {e}"))
     }
 
     /// [`DataManager::plan_input_as`] logging into `region`'s namespace.
@@ -367,7 +377,8 @@ impl DataManager {
     /// [`OmpcError::InvalidConfig`] instead of racing the optimistic
     /// holder whose bytes may still be on the wire. Plans in the
     /// [`UNATTRIBUTED`] namespace (device-level enter-data, recovery) are
-    /// exempt and never fail.
+    /// exempt from the guard. A buffer the data manager does not track is
+    /// [`OmpcError::UnknownBuffer`] in every namespace.
     pub fn plan_input_as_in(
         &mut self,
         region: u64,
@@ -380,10 +391,7 @@ impl DataManager {
             // whose results are discarded anyway.
             return Ok(None);
         }
-        let loc = self
-            .buffers
-            .get_mut(&buffer)
-            .unwrap_or_else(|| panic!("plan_input on unregistered buffer {buffer}"));
+        let loc = self.buffers.get_mut(&buffer).ok_or(OmpcError::UnknownBuffer(buffer))?;
         if loc.holders.contains(&node) {
             return Ok(None);
         }
@@ -500,16 +508,13 @@ impl DataManager {
         node: NodeId,
         reason: TransferReason,
         ticket: Ticket,
-    ) -> Option<TransferPlan> {
+    ) -> OmpcResult<Option<TransferPlan>> {
         if self.failed.contains(&node) {
-            return None;
+            return Ok(None);
         }
-        let loc = self
-            .buffers
-            .get_mut(&buffer)
-            .unwrap_or_else(|| panic!("begin_inflight on unregistered buffer {buffer}"));
+        let loc = self.buffers.get_mut(&buffer).ok_or(OmpcError::UnknownBuffer(buffer))?;
         if loc.holders.contains(&node) {
-            return None;
+            return Ok(None);
         }
         let from = loc.latest;
         loc.holders.insert(node);
@@ -518,7 +523,7 @@ impl DataManager {
         if let Some(ts) = self.tickets.get_mut(&ticket.0) {
             ts.remaining += 1;
         }
-        Some(TransferPlan { from, to: node, buffer })
+        Ok(Some(TransferPlan { from, to: node, buffer }))
     }
 
     /// Book an asynchronous (or serialized lazy) retrieval of `buffer` to
@@ -528,9 +533,10 @@ impl DataManager {
     /// Nothing is logged or committed here; the caller still runs
     /// [`DataManager::record_retrieve`] once the bytes land, then
     /// [`DataManager::finish_inflight`]. Returns the retrieval source, or
-    /// `None` when the head already holds the latest version.
+    /// `None` when the head already holds the latest version (or the
+    /// buffer is not registered).
     pub fn begin_inflight_retrieve(&mut self, buffer: BufferId, ticket: Ticket) -> Option<NodeId> {
-        let from = self.retrieve_source(buffer)?;
+        let from = self.retrieve_source(buffer).ok().flatten()?;
         self.inflight.insert((buffer.0, HEAD_NODE), InflightEntry::Moving(ticket));
         if let Some(ts) = self.tickets.get_mut(&ticket.0) {
             ts.remaining += 1;
@@ -687,23 +693,20 @@ impl DataManager {
     /// Record that a task executing on `node` wrote `buffer`: the copy on
     /// `node` becomes the only valid one. Returns the nodes whose copies
     /// became stale (and should be deleted), excluding `node` itself.
-    pub fn record_write(&mut self, buffer: BufferId, node: NodeId) -> Vec<NodeId> {
+    pub fn record_write(&mut self, buffer: BufferId, node: NodeId) -> OmpcResult<Vec<NodeId>> {
         if self.failed.contains(&node) {
             // Writes from a dead node are discarded: its task will be
             // re-executed on a survivor.
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let epoch = self.epoch;
-        let loc = self
-            .buffers
-            .get_mut(&buffer)
-            .unwrap_or_else(|| panic!("record_write on unregistered buffer {buffer}"));
+        let loc = self.buffers.get_mut(&buffer).ok_or(OmpcError::UnknownBuffer(buffer))?;
         let stale: Vec<NodeId> = loc.holders.iter().copied().filter(|&n| n != node).collect();
         loc.holders.clear();
         loc.holders.insert(node);
         loc.latest = node;
         loc.epoch = epoch;
-        stale
+        Ok(stale)
     }
 
     /// Roll back a replica recorded optimistically by
@@ -734,15 +737,13 @@ impl DataManager {
     /// Record that `node` received a read-only replica of `buffer` (e.g.
     /// after an explicit alloc that bypassed [`DataManager::plan_input`]).
     /// Not logged as a transfer — no bytes moved.
-    pub fn record_replica(&mut self, buffer: BufferId, node: NodeId) {
+    pub fn record_replica(&mut self, buffer: BufferId, node: NodeId) -> OmpcResult<()> {
         if self.failed.contains(&node) {
-            return;
+            return Ok(());
         }
-        let loc = self
-            .buffers
-            .get_mut(&buffer)
-            .unwrap_or_else(|| panic!("record_replica on unregistered buffer {buffer}"));
+        let loc = self.buffers.get_mut(&buffer).ok_or(OmpcError::UnknownBuffer(buffer))?;
         loc.holders.insert(node);
+        Ok(())
     }
 
     /// The node a retrieval of `buffer` back to the head (exit data with
@@ -752,12 +753,9 @@ impl DataManager {
     /// actually landed — so a retrieval that fails (or whose source dies
     /// mid-flight) leaves the location state truthful and a later plan
     /// retries from the then-latest holder.
-    pub fn retrieve_source(&self, buffer: BufferId) -> Option<NodeId> {
-        let loc = self
-            .buffers
-            .get(&buffer)
-            .unwrap_or_else(|| panic!("retrieve_source on unregistered buffer {buffer}"));
-        (loc.latest != HEAD_NODE).then_some(loc.latest)
+    pub fn retrieve_source(&self, buffer: BufferId) -> OmpcResult<Option<NodeId>> {
+        let loc = self.buffers.get(&buffer).ok_or(OmpcError::UnknownBuffer(buffer))?;
+        Ok((loc.latest != HEAD_NODE).then_some(loc.latest))
     }
 
     /// Record that the retrieval planned by [`DataManager::retrieve_source`]
@@ -766,19 +764,16 @@ impl DataManager {
     /// read, not an invalidation — so a resident buffer keeps its device
     /// copies. No-op when the head is already latest (the source died and
     /// recovery re-sourced the buffer meanwhile).
-    pub fn record_retrieve(&mut self, buffer: BufferId) {
-        self.record_retrieve_in(UNATTRIBUTED, buffer);
+    pub fn record_retrieve(&mut self, buffer: BufferId) -> OmpcResult<()> {
+        self.record_retrieve_in(UNATTRIBUTED, buffer)
     }
 
     /// [`DataManager::record_retrieve`] logged under a region's namespace,
     /// so the retrieving region's record owns the transfer.
-    pub fn record_retrieve_in(&mut self, region: u64, buffer: BufferId) {
-        let loc = self
-            .buffers
-            .get_mut(&buffer)
-            .unwrap_or_else(|| panic!("record_retrieve on unregistered buffer {buffer}"));
+    pub fn record_retrieve_in(&mut self, region: u64, buffer: BufferId) -> OmpcResult<()> {
+        let loc = self.buffers.get_mut(&buffer).ok_or(OmpcError::UnknownBuffer(buffer))?;
         if loc.latest == HEAD_NODE {
-            return;
+            return Ok(());
         }
         let from = loc.latest;
         loc.holders.insert(HEAD_NODE);
@@ -790,6 +785,7 @@ impl DataManager {
             bytes: loc.bytes,
             reason: TransferReason::Retrieve,
         });
+        Ok(())
     }
 
     /// Remove the buffer from the data manager entirely (exit data with
@@ -891,20 +887,20 @@ mod tests {
         // foo (inout A) on node 1: input comes from the head.
         let plan = dm.plan_input(a, 1).unwrap();
         assert_eq!(plan, TransferPlan { from: HEAD_NODE, to: 1, buffer: a });
-        let stale = dm.record_write(a, 1);
+        let stale = dm.record_write(a, 1).unwrap();
         assert_eq!(stale, vec![HEAD_NODE]);
         assert_eq!(dm.latest(a), Some(1));
 
         // bar (inout A) on node 2: input forwarded worker-to-worker.
         let plan = dm.plan_input(a, 2).unwrap();
         assert_eq!(plan, TransferPlan { from: 1, to: 2, buffer: a });
-        let stale = dm.record_write(a, 2);
+        let stale = dm.record_write(a, 2).unwrap();
         assert_eq!(stale, vec![1]);
         assert_eq!(dm.holders(a), vec![2]);
 
         // exit data: retrieve from node 2, then release everywhere.
-        assert_eq!(dm.retrieve_source(a), Some(2));
-        dm.record_retrieve(a);
+        assert_eq!(dm.retrieve_source(a).unwrap(), Some(2));
+        dm.record_retrieve(a).unwrap();
         assert_eq!(dm.latest(a), Some(HEAD_NODE));
         let free = dm.remove(a);
         assert_eq!(free, vec![2]);
@@ -948,8 +944,8 @@ mod tests {
         let mut dm = DataManager::new();
         let b = BufferId(0);
         dm.register_host_buffer(b, 8);
-        assert_eq!(dm.retrieve_source(b), None);
-        dm.record_retrieve(b);
+        assert_eq!(dm.retrieve_source(b).unwrap(), None);
+        dm.record_retrieve(b).unwrap();
         assert!(dm.transfer_log().is_empty());
     }
 
@@ -962,8 +958,8 @@ mod tests {
         assert!(dm.is_present(b, 3));
         assert!(!dm.is_present(b, HEAD_NODE));
         assert_eq!(dm.bytes_of(b), 16);
-        assert_eq!(dm.retrieve_source(b), Some(3));
-        dm.record_retrieve(b);
+        assert_eq!(dm.retrieve_source(b).unwrap(), Some(3));
+        dm.record_retrieve(b).unwrap();
         assert_eq!(dm.latest(b), Some(HEAD_NODE));
         // A flush is a read: node 3 keeps its copy.
         assert!(dm.is_present(b, 3));
@@ -979,17 +975,17 @@ mod tests {
         let b = BufferId(0);
         dm.register_host_buffer(b, 8);
         dm.plan_input(b, 2).unwrap();
-        dm.record_write(b, 2);
-        assert_eq!(dm.retrieve_source(b), Some(2));
+        dm.record_write(b, 2).unwrap();
+        assert_eq!(dm.retrieve_source(b).unwrap(), Some(2));
         // ... the retrieve from node 2 fails; nothing was committed:
         assert_eq!(dm.latest(b), Some(2));
         assert!(!dm.is_present(b, HEAD_NODE));
         let lost = dm.fail_node(2);
         assert_eq!(lost, vec![b], "the death must be reported, not masked by a phantom flush");
-        assert_eq!(dm.retrieve_source(b), None, "nothing left to retrieve");
+        assert_eq!(dm.retrieve_source(b).unwrap(), None, "nothing left to retrieve");
         // record_retrieve after recovery moved latest to the head is a
         // no-op, not a phantom transfer.
-        dm.record_retrieve(b);
+        dm.record_retrieve(b).unwrap();
         let retrieves =
             dm.transfer_log().iter().filter(|t| t.reason == TransferReason::Retrieve).count();
         assert_eq!(retrieves, 0);
@@ -1021,11 +1017,11 @@ mod tests {
         let b = BufferId(0);
         dm.register_host_buffer(b, 8);
         dm.plan_input(b, 1).unwrap();
-        dm.record_write(b, 1);
+        dm.record_write(b, 1).unwrap();
         // A kernel grew the buffer on node 1; the retrieval observes the
         // wire size before committing, so its log entry is truthful.
         dm.observe_size(b, 24);
-        dm.record_retrieve(b);
+        dm.record_retrieve(b).unwrap();
         let log = dm.take_transfer_log();
         assert_eq!(log[0].bytes, 8, "the initial forward moved the mapped size");
         assert_eq!(log[1].bytes, 24, "the retrieve logs the resized payload");
@@ -1043,7 +1039,7 @@ mod tests {
         let mut dm = DataManager::new();
         let b = BufferId(0);
         dm.register_host_buffer(b, 8);
-        dm.record_replica(b, 5);
+        dm.record_replica(b, 5).unwrap();
         assert!(dm.is_present(b, 5));
         // Latest is unchanged by a replica, and nothing was logged.
         assert_eq!(dm.latest(b), Some(HEAD_NODE));
@@ -1059,10 +1055,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unregistered")]
-    fn plan_input_on_unregistered_buffer_panics() {
+    fn plan_input_on_unregistered_buffer_is_an_error() {
         let mut dm = DataManager::new();
-        dm.plan_input(BufferId(0), 1);
+        let ghost = BufferId(0);
+        let unknown = OmpcError::UnknownBuffer(ghost);
+        assert_eq!(dm.plan_input_in(1, ghost, 1).unwrap_err(), unknown);
+        assert_eq!(
+            dm.plan_input_as_in(0, ghost, 1, TransferReason::EnterData),
+            Err(unknown.clone())
+        );
+        let t = dm.open_ticket();
+        assert_eq!(dm.begin_inflight(ghost, 1, TransferReason::Input, t), Err(unknown.clone()));
+        assert_eq!(dm.record_write(ghost, 1), Err(unknown.clone()));
+        assert_eq!(dm.record_replica(ghost, 1), Err(unknown.clone()));
+        assert_eq!(dm.retrieve_source(ghost), Err(unknown.clone()));
+        assert_eq!(dm.record_retrieve_in(1, ghost), Err(unknown));
+        assert!(dm.is_empty(), "a rejected call registers nothing");
     }
 
     #[test]
@@ -1071,7 +1079,7 @@ mod tests {
         let b = BufferId(0);
         dm.register_host_buffer(b, 8);
         dm.plan_input(b, 1).unwrap();
-        dm.record_write(b, 1);
+        dm.record_write(b, 1).unwrap();
         // A reader replicates the latest version onto node 2.
         dm.plan_input(b, 2).unwrap();
         let lost = dm.fail_node(1);
@@ -1087,7 +1095,7 @@ mod tests {
         let b = BufferId(3);
         dm.register_host_buffer(b, 8);
         dm.plan_input(b, 2).unwrap();
-        dm.record_write(b, 2);
+        dm.record_write(b, 2).unwrap();
         let lost = dm.fail_node(2);
         assert_eq!(lost, vec![b]);
         // Lineage restarts from the head node's pre-offload image.
@@ -1103,9 +1111,9 @@ mod tests {
         dm.fail_node(4);
         // No transfers to, writes from, or replicas on a dead node.
         assert!(dm.plan_input(b, 4).is_none());
-        assert!(dm.record_write(b, 4).is_empty());
+        assert!(dm.record_write(b, 4).unwrap().is_empty());
         assert_eq!(dm.latest(b), Some(HEAD_NODE));
-        dm.record_replica(b, 4);
+        dm.record_replica(b, 4).unwrap();
         assert!(!dm.is_present(b, 4));
         dm.register_device_buffer(BufferId(9), 4, 8);
         assert!(!dm.is_registered(BufferId(9)));
@@ -1126,7 +1134,7 @@ mod tests {
         assert_eq!(dm.buffer_epoch(b), Some(1));
         dm.plan_input(b, 1);
         assert_eq!(dm.buffer_epoch(b), Some(1), "a read replica does not advance the epoch");
-        dm.record_write(b, 1);
+        dm.record_write(b, 1).unwrap();
         assert_eq!(dm.buffer_epoch(b), Some(2));
         assert_eq!(dm.epoch(), 2);
     }
@@ -1140,7 +1148,7 @@ mod tests {
         dm.mark_resident(b);
         assert!(dm.is_resident(b));
         dm.plan_input(b, 1);
-        dm.record_write(b, 1);
+        dm.record_write(b, 1).unwrap();
         assert!(dm.is_resident(b), "writes keep residency");
         dm.remove(b);
         assert!(!dm.is_resident(b), "release ends residency");
@@ -1152,7 +1160,7 @@ mod tests {
         let b = BufferId(0);
         dm.register_host_buffer(b, 64);
         let t = dm.open_ticket();
-        let plan = dm.begin_inflight(b, 2, TransferReason::Input, t).unwrap();
+        let plan = dm.begin_inflight(b, 2, TransferReason::Input, t).unwrap().unwrap();
         assert_eq!(plan, TransferPlan { from: HEAD_NODE, to: 2, buffer: b });
         // The booking is a holder (no sync re-plan) but the record is
         // deferred, not in the per-run log.
@@ -1162,7 +1170,7 @@ mod tests {
         assert_eq!(dm.transfer_state(b, 2), TransferState::InFlight(t));
         assert!(dm.buffer_in_flight(b));
         // A second booking of the same pair is free.
-        assert!(dm.begin_inflight(b, 2, TransferReason::Input, t).is_none());
+        assert!(dm.begin_inflight(b, 2, TransferReason::Input, t).unwrap().is_none());
         // The ticket is pending until the movement lands.
         assert_eq!(dm.ticket_result(t), None);
         dm.finish_inflight(b, 2, Ok(()));
@@ -1183,7 +1191,7 @@ mod tests {
         let b = BufferId(0);
         dm.register_host_buffer(b, 8);
         let t = dm.open_ticket();
-        dm.begin_inflight(b, 3, TransferReason::EnterData, t).unwrap();
+        dm.begin_inflight(b, 3, TransferReason::EnterData, t).unwrap().unwrap();
         let boom = OmpcError::Internal("wire".to_string());
         dm.finish_inflight(b, 3, Err(boom.clone()));
         // Holder and deferred record are gone; the failure is visible to
@@ -1204,7 +1212,7 @@ mod tests {
         let b = BufferId(0);
         dm.register_host_buffer(b, 8);
         let t = dm.open_ticket();
-        dm.begin_inflight(b, 2, TransferReason::Input, t).unwrap();
+        dm.begin_inflight(b, 2, TransferReason::Input, t).unwrap().unwrap();
         dm.fail_node(2);
         // The wire op "succeeded" but the destination died: the booking
         // must roll back (no phantom transfer record survives).
@@ -1220,13 +1228,13 @@ mod tests {
         let b = BufferId(0);
         dm.register_host_buffer(b, 8);
         dm.plan_input(b, 1).unwrap();
-        dm.record_write(b, 1);
+        dm.record_write(b, 1).unwrap();
         let t = dm.open_ticket();
         assert_eq!(dm.begin_inflight_retrieve(b, t), Some(1));
         // A concurrent flusher observes the in-flight retrieval and waits
         // instead of scheduling a second retrieve.
         assert_eq!(dm.transfer_state(b, HEAD_NODE), TransferState::InFlight(t));
-        dm.record_retrieve(b);
+        dm.record_retrieve(b).unwrap();
         dm.finish_inflight(b, HEAD_NODE, Ok(()));
         assert_eq!(dm.ticket_result(t), Some(Ok(())));
         // Once the head is latest there is nothing left to book.
@@ -1234,12 +1242,12 @@ mod tests {
         assert_eq!(dm.begin_inflight_retrieve(b, t2), None);
         assert_eq!(dm.ticket_result(t2), Some(Ok(())));
         // A failed retrieve is simply un-booked: the next flush retries.
-        dm.record_write(b, 1);
+        dm.record_write(b, 1).unwrap();
         let t3 = dm.open_ticket();
         assert_eq!(dm.begin_inflight_retrieve(b, t3), Some(1));
         dm.finish_inflight(b, HEAD_NODE, Err(OmpcError::Internal("x".into())));
         assert_eq!(dm.transfer_state(b, HEAD_NODE), TransferState::Invalid);
-        assert_eq!(dm.retrieve_source(b), Some(1));
+        assert_eq!(dm.retrieve_source(b).unwrap(), Some(1));
         assert!(matches!(dm.ticket_result(t3), Some(Err(_))));
     }
 
@@ -1251,7 +1259,7 @@ mod tests {
         dm.register_host_buffer(a, 8);
         dm.register_host_buffer(b, 8);
         dm.plan_input(a, 2);
-        dm.record_write(a, 2);
+        dm.record_write(a, 2).unwrap();
         let map = dm.latest_on_workers();
         assert_eq!(map.get(&a), Some(&2));
         assert!(!map.contains_key(&b), "host-latest buffers are not resident on workers");
@@ -1345,7 +1353,7 @@ mod tests {
         dm.register_host_buffer(b, 16);
         dm.plan_input(b, 1);
         let t = dm.open_ticket();
-        assert!(dm.begin_inflight(b, 2, TransferReason::Input, t).is_some());
+        assert!(dm.begin_inflight(b, 2, TransferReason::Input, t).unwrap().is_some());
         // The planned parent (node 1) died; node 3 rescued the delivery.
         dm.retarget_deferred_from(b, 2, 3);
         assert_eq!(dm.deferred_transfers().last().map(|r| (r.from, r.to)), Some((3, 2)));

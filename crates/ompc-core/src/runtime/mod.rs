@@ -19,10 +19,13 @@
 //!   the core decides: [`ThreadedBackend`] drives the real worker threads
 //!   through a pool of synchronous head worker threads, [`MpiBackend`]
 //!   carries every task as one composite tagged message over the
-//!   `ompc-mpi` world and probes for typed completion replies (the paper's
-//!   gate-thread shape), and [`SimBackend`] wraps the `ompc-sim`
-//!   discrete-event engine. Select between the first two with
+//!   `ompc-mpi` world and blocks on one completion channel for the typed
+//!   replies (the paper's gate-thread shape), and [`SimBackend`] wraps the
+//!   `ompc-sim` discrete-event engine. Select between the first two with
 //!   [`crate::config::OmpcConfig::backend`].
+//! * `recipe` — the head-side task compiler: each task's data decisions
+//!   (forwards, awaits, allocs, flushes, write invalidation and rollback)
+//!   are planned once into a step list that both real backends execute.
 //! * [`fault`] — the fault-tolerance subsystem (paper §3.1): deterministic
 //!   failure injection, ring-heartbeat detection driven by this dispatch
 //!   loop, and task recovery onto the surviving workers.
@@ -34,6 +37,7 @@
 
 pub mod fault;
 pub mod mpi;
+pub(crate) mod recipe;
 pub mod sim;
 pub mod telemetry;
 pub mod threaded;
@@ -74,13 +78,7 @@ pub(crate) fn release_device_copies(
     events: &EventSystem,
     buffer: BufferId,
 ) -> OmpcResult<()> {
-    // `remove` returns only worker-node holders; capture the failed set
-    // under the same acquisition instead of re-locking per holder.
-    let live_holders: Vec<NodeId> = {
-        let mut dm = dm.lock();
-        let holders = dm.remove(buffer);
-        holders.into_iter().filter(|&n| !dm.is_failed(n)).collect()
-    };
+    let live_holders = recipe::release(&mut dm.lock(), buffer);
     for holder in live_holders {
         events.delete(holder, buffer)?;
     }

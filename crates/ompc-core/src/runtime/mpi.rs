@@ -4,13 +4,10 @@
 //! **completion channel** — the paper's head/worker split (§4.2) with no
 //! head pool thread blocked per in-flight task and no per-task probe loop.
 //!
-//! Where [`super::ThreadedBackend`] has a pool of head worker threads each
-//! driving a task's constituent events *synchronously* (submit, wait;
-//! execute, wait; …), the [`MpiBackend`] head composes the whole task — the
-//! input forwards planned by the [`DataManager`], output allocations, and
-//! the kernel execution — into a single composite recipe, serializes it
-//! through the `protocol` codec, and sends it as one
-//! [`EventRequest::Task`] notification. Payloads and worker-to-worker
+//! At launch the head compiles the task's recipe (see `runtime::recipe`):
+//! the input forwards planned by the [`DataManager`], output allocations
+//! and the kernel execution. The [`MpiBackend`] ships the steps as one
+//! [`EventRequest::Task`] notification; payloads and worker-to-worker
 //! forwards follow on the task's exclusive `(tag, communicator)` channel
 //! (communicators chosen round-robin by tag, the paper's VCI mapping), and
 //! the worker's handler answers with exactly one [`EventReply`] when the
@@ -26,46 +23,42 @@
 //! that one channel (a condvar wakeup, not a sleep poll) and receives each
 //! noticed task's already-delivered typed reply — work proportional to
 //! messages arrived, not tasks outstanding. Data events (enter/exit
-//! transfers issued through the shared [`EventSystem`] verbs) post no
-//! notice and keep the bounded per-channel probe;
+//! transfers) post no notice and keep the bounded per-channel probe;
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`] remains the
 //! last-resort bound on a reply that can never arrive.
 //!
 //! Tag layout: new-event notifications travel on the reserved
 //! [`crate::protocol::CONTROL_TAG`], completion notices on
 //! [`crate::protocol::COMPLETION_TAG`]; each task (and each synchronous
-//! maintenance event — deletes, retrieves — still issued through the shared
-//! [`EventSystem`]) owns a device-unique tag drawn from the same counter,
-//! so the tag spaces can never collide and concurrent events cannot
-//! cross-talk.
+//! maintenance event issued through the shared [`EventSystem`]) owns a
+//! device-unique tag drawn from the same counter, so the tag spaces can
+//! never collide and concurrent events cannot cross-talk.
 //!
-//! The full fault-tolerance surface carries over unchanged: the failure
-//! injector kills the worker's event loop for real ([`EventRequest::Kill`]
-//! via [`ExecutionBackend::invalidate_node`]), the zombie gate refuses
-//! every later task with an error reply (so a launch onto a dead node
-//! degrades into a stale failure the core restarts, never a hang), and a
-//! dead exchange source forwards its error envelope through the receiving
-//! task's reply with the dead node's attribution — the same
-//! propagate-vs-restart decisions [`super::RuntimeCore`] makes for the
-//! other two backends.
+//! The fault-tolerance surface is the other backends': the injector kills
+//! the worker's event loop for real ([`EventRequest::Kill`] via
+//! [`ExecutionBackend::invalidate_node`]), the zombie gate refuses every
+//! later task with an error reply (so a launch onto a dead node degrades
+//! into a stale failure the core restarts, never a hang), and a dead
+//! exchange source forwards its error envelope through the receiving
+//! task's reply with the dead node's attribution.
 
 use super::fault::LostBuffer;
-use super::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
-use super::threaded::POISONED_KERNEL;
-use super::{ExecutionBackend, RuntimeCore, RuntimePlan, TaskEvent};
-use crate::buffer::BufferRegistry;
-use crate::cluster::HostFn;
-use crate::config::OmpcConfig;
-use crate::data_manager::{DataManager, TransferReason, HEAD_NODE};
+use super::recipe::{
+    commit_retrieve, record_worker_stamps, release, task_span, Recipe, RegionRun, TaskIntent,
+};
+use super::telemetry::{monotonic_us, Span, SpanPhase};
+use super::{ExecutionBackend, RuntimeCore, TaskEvent};
+#[cfg(doc)]
+use crate::data_manager::DataManager;
+use crate::data_manager::HEAD_NODE;
+#[cfg(doc)]
 use crate::event::EventSystem;
 use crate::protocol::{
     CompletionNotice, EventNotification, EventReply, EventRequest, TaskSpec, TaskStep,
     COMPLETION_TAG,
 };
-use crate::task::{RegionGraph, TaskKind};
-use crate::types::{BufferId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
+use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{CommId, Tag};
-use ompc_sched::Platform;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -86,10 +79,6 @@ const NOTICE_WAIT_SLICE: Duration = Duration::from_millis(100);
 /// run, when no [`crate::config::OmpcConfig::event_reply_timeout_ms`] is
 /// configured.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// `AwaitLocal` bound when no reply timeout is configured: a co-scheduled
-/// transfer that has not landed in this long is considered failed.
-const DEFAULT_AWAIT_LOCAL_MS: u64 = 60_000;
 
 /// Demultiplexer for the shared completion channel. With concurrent region
 /// executions admitted, several [`MpiDriver`]s consume the one
@@ -161,27 +150,19 @@ impl NoticeRouter {
 
 /// What the head must do when a task's reply arrives, beyond retiring it.
 enum PendingKind {
-    /// A target task: clear its in-flight transfers, record its writes
-    /// (invalidating stale copies), or roll the optimistic records back on
-    /// failure.
-    Target {
-        /// Input transfers this task owns, as `(buffer, destination)`.
-        owned: Vec<(BufferId, NodeId)>,
-        /// Output replicas recorded optimistically for alloc steps.
-        allocs: Vec<(BufferId, NodeId)>,
-        /// Buffers the task writes.
-        writes: Vec<BufferId>,
-    },
-    /// An enter-data task. `planned` records whether the holder entry was
-    /// written optimistically by `plan_input` (a residency-aware
-    /// distribution, rolled back on failure) or still has to be recorded
-    /// on success (an alloc).
-    EnterData { buffer: BufferId, planned: bool },
+    /// A composite target task (posts a completion notice): commit its
+    /// intent, deferring the stale-copy deletes, or roll it back.
+    Target(TaskIntent),
+    /// An enter-data event: commit or roll back its intent.
+    EnterData(TaskIntent),
     /// An exit-data retrieval: the reply payload is the buffer contents —
     /// store them on the host and, unless the buffer is keep-resident,
     /// release the device copies.
     ExitData { buffer: BufferId, release: bool },
 }
+
+/// A sent data event: its channel and, for a forward, `(source, bytes)`.
+type SentEvent = (Tag, CommId, Option<(NodeId, u64)>);
 
 /// One dispatched task whose reply the completion loop is waiting for.
 struct Pending {
@@ -191,76 +172,29 @@ struct Pending {
     kind: PendingKind,
 }
 
-/// Everything the message-passing backend needs for one region execution:
-/// the device's communication machinery plus the region graph and host
-/// tasks.
-pub(crate) struct MpiContext {
-    events: Arc<EventSystem>,
-    buffers: Arc<BufferRegistry>,
-    dm: Arc<Mutex<DataManager>>,
-    /// Transfer-log namespace of this execution: the region epoch issued
-    /// at admission.
-    region: u64,
-    graph: Arc<RegionGraph>,
-    host_fns: HashMap<usize, HostFn>,
-    config: OmpcConfig,
-    telemetry: Arc<Telemetry>,
+/// Executes a region graph through composite task messages over `ompc-mpi`.
+/// The third [`ExecutionBackend`] implementation, selected with
+/// [`crate::config::BackendKind::Mpi`].
+pub struct MpiBackend {
+    run: RegionRun,
     /// The owning device's completion-channel demultiplexer, shared by
     /// every concurrently admitted region execution.
     router: Arc<NoticeRouter>,
 }
 
-/// Executes a region graph through composite task messages over `ompc-mpi`.
-/// The third [`ExecutionBackend`] implementation, selected with
-/// [`crate::config::BackendKind::Mpi`].
-pub struct MpiBackend {
-    ctx: MpiContext,
-}
-
 impl MpiBackend {
     /// Build a backend over the device's communication machinery for one
     /// region execution.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        events: Arc<EventSystem>,
-        buffers: Arc<BufferRegistry>,
-        dm: Arc<Mutex<DataManager>>,
-        region: u64,
-        graph: Arc<RegionGraph>,
-        host_fns: HashMap<usize, HostFn>,
-        config: &OmpcConfig,
-        telemetry: Arc<Telemetry>,
-        router: Arc<NoticeRouter>,
-    ) -> Self {
-        Self {
-            ctx: MpiContext {
-                events,
-                buffers,
-                dm,
-                region,
-                graph,
-                host_fns,
-                config: config.clone(),
-                telemetry,
-                router,
-            },
-        }
+    pub(crate) fn new(run: RegionRun, router: Arc<NoticeRouter>) -> Self {
+        Self { run, router }
     }
 
     /// Drive `core` to completion. After the run (successful or not) every
     /// outstanding task reply is drained, so no stale message bleeds into
     /// a later region execution.
     pub fn execute(&self, core: &mut RuntimeCore) -> OmpcResult<()> {
-        self.ctx.config.fault_plan.validate_task_errors(self.ctx.graph.len())?;
-        let mut driver = MpiDriver {
-            ctx: &self.ctx,
-            pending: BTreeMap::new(),
-            ready: VecDeque::new(),
-            inflight: HashSet::new(),
-            pending_deletes: BTreeMap::new(),
-            notice_tasks: HashMap::new(),
-            payload_cache: HashMap::new(),
-        };
+        self.run.config.fault_plan.validate_task_errors(self.run.graph.len())?;
+        let mut driver = MpiDriver::new(&self.run, &self.router);
         let result = core.execute(&mut driver);
         driver.drain_outstanding();
         // On the success path the epilogue already flushed; after a failed
@@ -272,19 +206,18 @@ impl MpiBackend {
 }
 
 /// The [`ExecutionBackend`] face of the message-passing head: `launch`
-/// composes one task and sends it, `await_completions` blocks on the
+/// compiles one task and sends it, `await_completions` blocks on the
 /// completion channel.
 struct MpiDriver<'c> {
-    ctx: &'c MpiContext,
+    run: &'c RegionRun,
+    router: &'c NoticeRouter,
     /// Outstanding tasks, keyed by core task id.
     pending: BTreeMap<usize, Pending>,
     /// Locally produced events (host tasks, no-op data tasks, head-side
-    /// planning failures) awaiting the next `await_completions`.
+    /// compile and send failures) awaiting the next `await_completions`.
     ready: VecDeque<TaskEvent>,
     /// Inbound transfers on the wire, keyed `(buffer, destination)`: a
-    /// co-scheduled same-node reader must await the arrival instead of
-    /// executing against memory the bytes have not reached yet — the
-    /// message-passing analogue of the threaded backend's transfer gate.
+    /// co-scheduled same-node reader compiles an `AwaitLocal` step for them.
     inflight: HashSet<(u64, NodeId)>,
     /// Deferred head-side maintenance: device copies to free per node
     /// (stale copies invalidated by a write, exit-data releases). Instead
@@ -302,14 +235,27 @@ struct MpiDriver<'c> {
     payload_cache: HashMap<u64, (u64, Arc<Vec<u8>>)>,
 }
 
-impl MpiDriver<'_> {
+impl<'c> MpiDriver<'c> {
+    fn new(run: &'c RegionRun, router: &'c NoticeRouter) -> Self {
+        Self {
+            run,
+            router,
+            pending: BTreeMap::new(),
+            ready: VecDeque::new(),
+            inflight: HashSet::new(),
+            pending_deletes: BTreeMap::new(),
+            notice_tasks: HashMap::new(),
+            payload_cache: HashMap::new(),
+        }
+    }
+
     /// The payload frame of `buffer`, reusing the cached frame when the
     /// registry still holds the same version. Records a `Serialize` span
     /// (detail `hit` / `miss`) attributed to `task`.
     fn cached_payload(&mut self, buffer: BufferId, task: usize) -> OmpcResult<Arc<Vec<u8>>> {
-        let tel = &self.ctx.telemetry;
+        let tel = &self.run.telemetry;
         let t0 = tel.start();
-        let version = self.ctx.buffers.version(buffer)?;
+        let version = self.run.buffers.version(buffer)?;
         if let Some((cached, frame)) = self.payload_cache.get(&buffer.0) {
             if *cached == version {
                 let frame = Arc::clone(frame);
@@ -325,7 +271,7 @@ impl MpiDriver<'_> {
                 return Ok(frame);
             }
         }
-        let (version, data) = self.ctx.buffers.get_versioned(buffer)?;
+        let (version, data) = self.run.buffers.get_versioned(buffer)?;
         let frame = Arc::new(data);
         self.payload_cache.insert(buffer.0, (version, Arc::clone(&frame)));
         if tel.spans_enabled() {
@@ -344,16 +290,16 @@ impl MpiDriver<'_> {
     /// clear every completion-channel leftover so nothing bleeds into a
     /// later region execution.
     fn drain_outstanding(&mut self) {
-        let timeout = self.ctx.events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
+        let timeout = self.run.events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
         for (_, p) in std::mem::take(&mut self.pending) {
-            if let Ok(channel) = self.ctx.events.communicator().on(p.comm) {
+            if let Ok(channel) = self.run.events.communicator().on(p.comm) {
                 let _ = channel.recv_timeout(Some(p.node), Some(p.tag), timeout);
             }
         }
         // Drop the claims before clearing the index, so a notice arriving
         // even later is discarded as stale by whichever driver pumps it.
         for tag in self.notice_tasks.keys() {
-            self.ctx.router.unregister(Tag(*tag));
+            self.router.unregister(Tag(*tag));
         }
         self.notice_tasks.clear();
         // The drained replies' notices were never consumed. Clear this
@@ -361,10 +307,10 @@ impl MpiDriver<'_> {
         // the shared channel — without eating another admitted region's
         // notices: pump through the router so foreign notices park for
         // their owners while this region's (now unclaimed) tags discard.
-        let router = &self.ctx.router;
+        let router = &self.router;
         let pump = {
             let mut inner = router.inner.lock();
-            inner.parked.remove(&self.ctx.region);
+            inner.parked.remove(&self.run.region);
             if inner.pumping {
                 // The active pumper routes our stale notices to the
                 // discard path itself; nothing left to do.
@@ -376,9 +322,9 @@ impl MpiDriver<'_> {
         };
         if pump {
             while let Some(msg) =
-                self.ctx.events.communicator().try_recv(None, Some(COMPLETION_TAG))
+                self.run.events.communicator().try_recv(None, Some(COMPLETION_TAG))
             {
-                let _ = router.route(self.ctx.region, msg.data);
+                let _ = router.route(self.run.region, msg.data);
             }
             router.inner.lock().pumping = false;
             router.arrived.notify_all();
@@ -397,28 +343,14 @@ impl MpiDriver<'_> {
     fn flush_pending_deletes(&mut self) -> OmpcResult<()> {
         let pending = std::mem::take(&mut self.pending_deletes);
         for (node, buffers) in pending {
-            if self.ctx.dm.lock().is_failed(node) {
+            if self.run.dm.lock().is_failed(node) {
                 continue;
             }
             for buffer in buffers {
-                self.ctx.events.delete(node, buffer)?;
+                self.run.events.delete(node, buffer)?;
             }
         }
         Ok(())
-    }
-
-    /// Release every device copy of `buffer` (exit-data semantics): drop it
-    /// from the data manager and *defer* the per-holder delete events into
-    /// the composite-task protocol.
-    fn release_buffer(&mut self, buffer: BufferId) {
-        let live_holders: Vec<NodeId> = {
-            let mut dm = self.ctx.dm.lock();
-            let holders = dm.remove(buffer);
-            holders.into_iter().filter(|&n| !dm.is_failed(n)).collect()
-        };
-        for holder in live_holders {
-            self.defer_delete(holder, buffer);
-        }
     }
 
     /// Put one composed target task on the wire: its
@@ -428,7 +360,7 @@ impl MpiDriver<'_> {
     ///
     /// Counters are accumulated locally and committed only once every frame
     /// is on the wire: a task whose send fails part-way is rolled back by
-    /// [`MpiDriver::roll_back_launch`] and re-dispatched, so recording
+    /// [`MpiDriver::begin_target`] and re-dispatched, so recording
     /// interleaved with the sends would count the frames that preceded the
     /// failure twice.
     fn send_task(
@@ -440,10 +372,10 @@ impl MpiDriver<'_> {
         payloads: Vec<Arc<Vec<u8>>>,
         exchanges: Vec<(NodeId, EventRequest, u64)>,
     ) -> OmpcResult<()> {
-        let tel = &self.ctx.telemetry;
+        let tel = &self.run.telemetry;
         let timed = tel.spans_enabled();
         let t0 = tel.start();
-        self.ctx.events.notify(
+        self.run.events.notify(
             node,
             &EventNotification {
                 request: EventRequest::Task(TaskSpec { steps }),
@@ -463,13 +395,13 @@ impl MpiDriver<'_> {
         }
         let send_start = tel.start();
         let mut recorded: Vec<Option<u64>> = vec![None];
-        let channel = self.ctx.events.communicator().on(comm)?;
+        let channel = self.run.events.communicator().on(comm)?;
         for frame in payloads {
             channel.send(node, tag, frame.as_ref().clone())?;
             recorded.push(Some(frame.len() as u64));
         }
         for (src, request, bytes) in exchanges {
-            self.ctx.events.notify(src, &EventNotification { request, tag, comm, timed: false })?;
+            self.run.events.notify(src, &EventNotification { request, tag, comm, timed: false })?;
             recorded.push(Some(bytes));
         }
         if timed {
@@ -482,575 +414,259 @@ impl MpiDriver<'_> {
         }
         // Every frame is on the wire: commit the task's accounting.
         for bytes in recorded {
-            self.ctx.events.counters().record(bytes);
+            self.run.events.counters().record(bytes);
         }
         Ok(())
     }
 
-    /// Roll back a launch whose frames never all reached the wire: drop
-    /// the reply-tag claim, forget the optimistic holder records, clear the
-    /// in-flight gate, and put the attached deletes back on the deferral
-    /// queue. The caller reports the task as failed (the core owns the
-    /// propagate-vs-restart policy).
-    fn roll_back_launch(&mut self, pending: &Pending, attached_deletes: Vec<BufferId>) {
-        self.notice_tasks.remove(&pending.tag.0);
-        self.ctx.router.unregister(pending.tag);
-        if let PendingKind::Target { owned, allocs, .. } = &pending.kind {
-            {
-                let mut dm = self.ctx.dm.lock();
-                for &(buf, n) in owned.iter().chain(allocs.iter()) {
-                    dm.forget_replica(buf, n);
-                }
-            }
-            for &(buf, n) in owned {
-                self.inflight.remove(&(buf.0, n));
-            }
-        }
-        for buf in attached_deletes {
-            self.defer_delete(pending.node, buf);
+    /// Release every device copy of `buffer` (exit-data semantics): drop it
+    /// from the data manager and *defer* the per-holder delete events into
+    /// the composite-task protocol.
+    fn release_buffer(&mut self, buffer: BufferId) {
+        for holder in release(&mut self.run.dm.lock(), buffer) {
+            self.defer_delete(holder, buffer);
         }
     }
 
-    /// Compose the message(s) of one task, or finish it locally.
+    /// Send one data event on a fresh channel of its own.
+    fn send_event(&self, node: NodeId, request: EventRequest) -> OmpcResult<(Tag, CommId)> {
+        let (tag, comm) = self.run.events.open_channel();
+        let notification = EventNotification { request, tag, comm, timed: false };
+        self.run.events.notify(node, &notification)?;
+        Ok((tag, comm))
+    }
+
+    /// Compile one task and send its message(s), or finish it locally.
     /// `Ok(None)` means the task completed immediately (host task, no-op
     /// data task); `Err` is a head-side task failure the caller reports as
-    /// a [`TaskEvent::Failed`]. A target task is sent here, as soon as it
-    /// is composed; a failed send leaves no trace of the launch.
+    /// a [`TaskEvent::Failed`]. A failed send leaves no trace of the launch.
     fn begin_task(&mut self, tid: usize, node: NodeId) -> OmpcResult<Option<Pending>> {
-        let ctx = self.ctx;
-        let task = ctx.graph.task(TaskId(tid));
-        match &task.kind {
-            TaskKind::Host { .. } => {
-                // A host task reads through the head's buffer registry, so
-                // every read buffer whose latest version lives on a worker
-                // is flushed home first — the host-side analogue of the
-                // input transfers a target task plans.
-                for dep in &task.dependences {
-                    if !dep.dep_type.reads() {
-                        continue;
-                    }
-                    let from = {
-                        let dm = ctx.dm.lock();
-                        // A host-only buffer (never mapped to the device)
-                        // has no residency entry and nothing to flush.
-                        if !dm.is_registered(dep.buffer) {
-                            continue;
-                        }
-                        dm.retrieve_source(dep.buffer)
-                    };
-                    if let Some(from) = from {
-                        let t0 = ctx.telemetry.start();
-                        let data = ctx.events.retrieve(from, dep.buffer)?;
-                        let bytes = data.len() as u64;
-                        ctx.buffers.set(dep.buffer, data)?;
-                        {
-                            let mut dm = ctx.dm.lock();
-                            dm.observe_size(dep.buffer, bytes);
-                            dm.record_retrieve_in(ctx.region, dep.buffer);
-                        }
-                        if ctx.telemetry.spans_enabled() {
-                            ctx.telemetry.record(
-                                Span::new(SpanPhase::HostFlush, HEAD_NODE, t0, monotonic_us())
-                                    .task(tid)
-                                    .bytes(bytes)
-                                    .from(from)
-                                    .detail("host task input"),
-                            );
-                        }
-                    }
-                }
-                if let Some(f) = ctx.host_fns.get(&tid) {
-                    let buffers = &ctx.buffers;
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(buffers)))
-                        .map_err(|_| OmpcError::Internal(format!("host task {tid} panicked")))?;
+        let run = self.run;
+        let inflight = &self.inflight;
+        let recipe =
+            run.compile(tid, node, &mut run.dm.lock(), |b| inflight.contains(&(b.0, node)))?;
+        match recipe {
+            Recipe::Skip => Ok(None),
+            Recipe::Host { flush } => run.run_host(tid, &flush).map(|()| None),
+            Recipe::Exit { buffer, source: Some(from), release } => {
+                // Nothing is committed until the reply brings the bytes, so
+                // a source that dies mid-retrieval leaves the location state
+                // truthful for recovery.
+                let (tag, comm) = self.send_event(from, EventRequest::Retrieve { buffer })?;
+                let kind = PendingKind::ExitData { buffer, release };
+                Ok(Some(Pending { node: from, tag, comm, kind }))
+            }
+            Recipe::Exit { buffer, source: None, release } => {
+                if release {
+                    self.release_buffer(buffer);
                 }
                 Ok(None)
             }
-            TaskKind::EnterData { buffer, map } => {
-                if node == HEAD_NODE {
-                    return Ok(None);
+            Recipe::Enter { step: Some(step), intent } => self.begin_enter(tid, step, intent),
+            Recipe::Enter { step: None, .. } => Ok(None),
+            Recipe::Target { steps, intent } => self.begin_target(tid, steps, intent),
+        }
+    }
+
+    /// Send an enter-data step as a plain data event: a submit, an
+    /// exchange, or an alloc. An `AwaitLocal` needs no event — the booked
+    /// copy's first reader awaits it.
+    fn begin_enter(
+        &mut self,
+        tid: usize,
+        step: TaskStep,
+        intent: TaskIntent,
+    ) -> OmpcResult<Option<Pending>> {
+        let node = intent.node;
+        let buffer = match step {
+            TaskStep::RecvFromHead { buffer }
+            | TaskStep::RecvFromWorker { buffer, .. }
+            | TaskStep::Alloc { buffer, .. } => buffer,
+            _ => return Ok(None),
+        };
+        // The incoming copy supersedes whatever stale bytes a deferred
+        // delete was going to free — but the cancellation only sticks if
+        // the send succeeds.
+        let cancelled_delete =
+            self.pending_deletes.get_mut(&node).is_some_and(|s| s.remove(&buffer));
+        let t0 = self.run.telemetry.start();
+        let (tag, comm, moved) = match self.send_enter(tid, node, step) {
+            Ok(sent) => sent,
+            Err(e) => {
+                intent.roll_back(&mut self.run.dm.lock());
+                if cancelled_delete {
+                    self.defer_delete(node, buffer);
                 }
-                match map {
-                    MapType::To | MapType::ToFrom | MapType::ToResident => {
-                        // Residency-aware distribution, exactly as the
-                        // threaded backend plans it: no transfer when the
-                        // buffer is already present, a worker-to-worker
-                        // forward when the latest version is on another
-                        // worker, a host submit otherwise.
-                        let plan = ctx.dm.lock().plan_input_as_in(
-                            ctx.region,
-                            *buffer,
-                            node,
-                            TransferReason::EnterData,
-                        )?;
-                        let Some(plan) = plan else { return Ok(None) };
-                        let payload = if plan.from == HEAD_NODE {
-                            match self.cached_payload(*buffer, tid) {
-                                Ok(frame) => Some(frame),
-                                Err(e) => {
-                                    ctx.dm.lock().forget_replica(*buffer, node);
-                                    return Err(e);
-                                }
-                            }
-                        } else {
-                            None
-                        };
-                        // The incoming copy supersedes whatever stale bytes
-                        // a deferred delete was going to free — but the
-                        // cancellation only sticks if the send succeeds.
-                        let cancelled_delete =
-                            self.pending_deletes.get_mut(&node).is_some_and(|s| s.remove(buffer));
-                        let (tag, comm) = ctx.events.open_channel();
-                        let t0 = ctx.telemetry.start();
-                        let mut moved = 0u64;
-                        let sent: OmpcResult<()> = (|| {
-                            if let Some(frame) = &payload {
-                                ctx.events.notify(
-                                    node,
-                                    &EventNotification {
-                                        request: EventRequest::Submit { buffer: *buffer },
-                                        tag,
-                                        comm,
-                                        timed: false,
-                                    },
-                                )?;
-                                let bytes = frame.len() as u64;
-                                ctx.events.communicator().on(comm)?.send(
-                                    node,
-                                    tag,
-                                    frame.as_ref().clone(),
-                                )?;
-                                ctx.events.counters().record(Some(bytes));
-                                moved = bytes;
-                            } else {
-                                ctx.events.notify(
-                                    node,
-                                    &EventNotification {
-                                        request: EventRequest::ExchangeRecv {
-                                            buffer: *buffer,
-                                            from: plan.from,
-                                        },
-                                        tag,
-                                        comm,
-                                        timed: false,
-                                    },
-                                )?;
-                                ctx.events.notify(
-                                    plan.from,
-                                    &EventNotification {
-                                        request: EventRequest::ExchangeSend {
-                                            buffer: *buffer,
-                                            to: node,
-                                        },
-                                        tag,
-                                        comm,
-                                        timed: false,
-                                    },
-                                )?;
-                                let bytes = ctx.buffers.size_of(*buffer).unwrap_or(0) as u64;
-                                ctx.events.counters().record(Some(bytes));
-                                moved = bytes;
-                            }
-                            Ok(())
-                        })();
-                        if sent.is_ok() && ctx.telemetry.spans_enabled() {
-                            ctx.telemetry.record(
-                                Span::new(SpanPhase::EnterData, node, t0, monotonic_us())
-                                    .task(tid)
-                                    .bytes(moved)
-                                    .from(plan.from)
-                                    .detail("EnterData"),
-                            );
-                        }
-                        if let Err(e) = sent {
-                            ctx.dm.lock().forget_replica(*buffer, node);
-                            if cancelled_delete {
-                                self.defer_delete(node, *buffer);
-                            }
-                            return Err(e);
-                        }
-                        Ok(Some(Pending {
-                            node,
-                            tag,
-                            comm,
-                            kind: PendingKind::EnterData { buffer: *buffer, planned: true },
-                        }))
-                    }
-                    MapType::Alloc => {
-                        if ctx.dm.lock().is_present(*buffer, node) {
-                            return Ok(None);
-                        }
-                        let size = ctx.buffers.size_of(*buffer)?;
-                        let (tag, comm) = ctx.events.open_channel();
-                        ctx.events.notify(
-                            node,
-                            &EventNotification {
-                                request: EventRequest::Alloc { buffer: *buffer, size: size as u64 },
-                                tag,
-                                comm,
-                                timed: false,
-                            },
-                        )?;
-                        ctx.events.counters().record(None);
-                        Ok(Some(Pending {
-                            node,
-                            tag,
-                            comm,
-                            kind: PendingKind::EnterData { buffer: *buffer, planned: false },
-                        }))
-                    }
-                    MapType::From | MapType::Release => Ok(None),
-                }
+                return Err(e);
             }
-            TaskKind::ExitData { buffer, map } => {
-                let mut keep_resident = false;
-                if map.copies_from_device() {
-                    // Read-only plan: the latest-on-head commit (and the
-                    // transfer log entry) happens in `finish_task` once the
-                    // bytes actually arrived, so a source that dies
-                    // mid-retrieval leaves the location state truthful for
-                    // recovery.
-                    let (from, pinned_holds_data, any_failures) = {
-                        let dm = ctx.dm.lock();
-                        keep_resident = dm.is_resident(*buffer);
-                        let present = dm.is_present(*buffer, node);
-                        (dm.retrieve_source(*buffer), present, dm.has_failures())
-                    };
-                    if let Some(from) = from {
-                        // §4.4 consistency, as in the threaded backend: the
-                        // exit task is pinned to its last target producer,
-                        // so in a failure-free run the retrieval source is
-                        // the pinned node (or the pinned node holds the
-                        // version it read).
-                        debug_assert!(
-                            any_failures || from == node || pinned_holds_data,
-                            "exit-data task pinned to node {node} but the latest copy of \
-                             {buffer} is only on node {from}"
-                        );
-                        let (tag, comm) = ctx.events.open_channel();
-                        ctx.events.notify(
-                            from,
-                            &EventNotification {
-                                request: EventRequest::Retrieve { buffer: *buffer },
-                                tag,
-                                comm,
-                                timed: false,
-                            },
-                        )?;
-                        return Ok(Some(Pending {
-                            node: from,
-                            tag,
-                            comm,
-                            kind: PendingKind::ExitData {
-                                buffer: *buffer,
-                                release: !keep_resident,
-                            },
-                        }));
-                    }
-                }
-                // Nothing to copy back: unless the buffer is keep-resident
-                // (a flush with nothing to flush), release the device
-                // copies.
-                if !keep_resident {
-                    self.release_buffer(*buffer);
-                }
-                Ok(None)
+        };
+        if let Some((from, bytes)) = moved {
+            task_span(&self.run.telemetry, SpanPhase::EnterData, node, tid, t0, |s| {
+                s.bytes(bytes).from(from).detail("EnterData")
+            });
+        }
+        Ok(Some(Pending { node, tag, comm, kind: PendingKind::EnterData(intent) }))
+    }
+
+    /// The wire half of [`MpiDriver::begin_enter`]: returns the event's
+    /// channel and, for a forward, its source and byte count.
+    fn send_enter(&mut self, tid: usize, node: NodeId, step: TaskStep) -> OmpcResult<SentEvent> {
+        let run = self.run;
+        let events = &run.events;
+        let (tag, comm, moved) = match step {
+            TaskStep::RecvFromHead { buffer } => {
+                let frame = self.cached_payload(buffer, tid)?;
+                let (tag, comm) = self.send_event(node, EventRequest::Submit { buffer })?;
+                events.communicator().on(comm)?.send(node, tag, frame.as_ref().clone())?;
+                (tag, comm, Some((HEAD_NODE, frame.len() as u64)))
             }
-            TaskKind::Target { kernel, .. } => {
-                // Injected task error (fault plan): execute a deliberately
-                // unregistered kernel so a genuine worker-side handler
-                // error exercises the reply path end to end.
-                let kernel = if ctx.config.fault_plan.has_task_error(tid) {
-                    POISONED_KERNEL
-                } else {
-                    *kernel
-                };
-                let await_ms = ctx.config.event_reply_timeout_ms.unwrap_or(DEFAULT_AWAIT_LOCAL_MS);
-                let mut steps: Vec<TaskStep> = Vec::new();
-                let mut owned: Vec<(BufferId, NodeId)> = Vec::new();
-                let mut allocs: Vec<(BufferId, NodeId)> = Vec::new();
-                let mut payloads: Vec<Arc<Vec<u8>>> = Vec::new();
-                let mut exchanges: Vec<(NodeId, EventRequest, u64)> = Vec::new();
-                // Plan the whole task under one data-manager acquisition,
-                // exactly as the threaded backend plans under its gate: a
-                // later co-scheduled reader either sees our holder record
-                // (and awaits the arrival) or plans its own transfer.
-                let planned: OmpcResult<()> = {
-                    let mut dm = ctx.dm.lock();
-                    let mut planned = Ok(());
-                    for dep in &task.dependences {
-                        if !dep.dep_type.reads() {
-                            continue;
-                        }
-                        let plan = match dm.plan_input_in(ctx.region, dep.buffer, node) {
-                            Ok(plan) => plan,
-                            Err(e) => {
-                                // Concurrent first-touch guard: abort the
-                                // task's planning with the typed rejection.
-                                planned = Err(e);
-                                break;
-                            }
-                        };
-                        match plan {
-                            Some(plan) if plan.from == HEAD_NODE => {
-                                match self.cached_payload(dep.buffer, tid) {
-                                    Ok(frame) => {
-                                        steps.push(TaskStep::RecvFromHead { buffer: dep.buffer });
-                                        payloads.push(frame);
-                                        owned.push((dep.buffer, node));
-                                    }
-                                    Err(e) => {
-                                        dm.forget_replica(dep.buffer, node);
-                                        planned = Err(e);
-                                        break;
-                                    }
-                                }
-                            }
-                            Some(plan) => {
-                                steps.push(TaskStep::RecvFromWorker {
-                                    buffer: dep.buffer,
-                                    from: plan.from,
-                                });
-                                exchanges.push((
-                                    plan.from,
-                                    EventRequest::ExchangeSend { buffer: dep.buffer, to: node },
-                                    ctx.buffers.size_of(dep.buffer).unwrap_or(0) as u64,
-                                ));
-                                owned.push((dep.buffer, node));
-                            }
-                            None => {
-                                // `None` with an in-flight entry means the
-                                // bytes are still on the wire: either a
-                                // co-scheduled task of this window owns the
-                                // transfer (the driver's gate), or an async
-                                // enter-data / cross-region prefetch booked
-                                // the holder (the data manager's in-flight
-                                // table). Both cases await the local arrival
-                                // on the worker instead of executing early.
-                                let device_inflight = matches!(
-                                    dm.transfer_state(dep.buffer, node),
-                                    crate::data_manager::TransferState::InFlight(_)
-                                );
-                                if self.inflight.contains(&(dep.buffer.0, node)) || device_inflight
-                                {
-                                    steps.push(TaskStep::AwaitLocal {
-                                        buffer: dep.buffer,
-                                        timeout_ms: await_ms,
-                                    });
-                                }
-                            }
-                        }
+            TaskStep::RecvFromWorker { buffer, from } => {
+                let (tag, comm) =
+                    self.send_event(node, EventRequest::ExchangeRecv { buffer, from })?;
+                let request = EventRequest::ExchangeSend { buffer, to: node };
+                events.notify(from, &EventNotification { request, tag, comm, timed: false })?;
+                (tag, comm, Some((from, run.buffers.size_of(buffer).unwrap_or(0) as u64)))
+            }
+            TaskStep::Alloc { buffer, size } => {
+                let (tag, comm) = self.send_event(node, EventRequest::Alloc { buffer, size })?;
+                (tag, comm, None)
+            }
+            _ => unreachable!("begin_enter sends only forwards and allocs"),
+        };
+        events.counters().record(moved.map(|(_, bytes)| bytes));
+        Ok((tag, comm, moved))
+    }
+
+    /// Ship a compiled target recipe as one composite task: build the
+    /// payload frames of its head receives, prepend the deletes deferred
+    /// for the node, open the in-flight gate and claim the reply tag, send.
+    fn begin_target(
+        &mut self,
+        tid: usize,
+        mut steps: Vec<TaskStep>,
+        intent: TaskIntent,
+    ) -> OmpcResult<Option<Pending>> {
+        let node = intent.node;
+        let mut payloads = Vec::new();
+        let mut exchanges = Vec::new();
+        for step in &steps {
+            match *step {
+                TaskStep::RecvFromHead { buffer } => match self.cached_payload(buffer, tid) {
+                    Ok(frame) => payloads.push(frame),
+                    Err(e) => {
+                        intent.roll_back(&mut self.run.dm.lock());
+                        return Err(e);
                     }
-                    if planned.is_ok() {
-                        // Write-only outputs: make sure storage exists on
-                        // the executing node.
-                        for dep in &task.dependences {
-                            if dep.dep_type.reads() || dm.is_present(dep.buffer, node) {
-                                continue;
-                            }
-                            match ctx.buffers.size_of(dep.buffer) {
-                                Ok(size) => {
-                                    steps.push(TaskStep::Alloc {
-                                        buffer: dep.buffer,
-                                        size: size as u64,
-                                    });
-                                    dm.record_replica(dep.buffer, node);
-                                    allocs.push((dep.buffer, node));
-                                }
-                                Err(e) => {
-                                    planned = Err(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if planned.is_err() {
-                        for &(buf, n) in owned.iter().chain(allocs.iter()) {
-                            dm.forget_replica(buf, n);
-                        }
-                    }
-                    planned
-                };
-                planned?;
-                // Deferred maintenance rides along: whatever deletes were
-                // queued for this node since its last task become prologue
-                // steps of this composite — ordered before any receive of
-                // the same buffer, executed in one handler invocation, and
-                // costing zero extra round-trips.
-                let attached_deletes: Vec<BufferId> =
-                    self.pending_deletes.remove(&node).unwrap_or_default().into_iter().collect();
-                if !attached_deletes.is_empty() {
-                    steps.splice(
-                        0..0,
-                        attached_deletes.iter().map(|&buffer| TaskStep::Delete { buffer }),
-                    );
+                },
+                TaskStep::RecvFromWorker { buffer, from } => {
+                    let bytes = self.run.buffers.size_of(buffer).unwrap_or(0) as u64;
+                    exchanges.push((from, EventRequest::ExchangeSend { buffer, to: node }, bytes));
                 }
-                let buffer_list: Vec<BufferId> =
-                    task.dependences.iter().map(|d| d.buffer).collect();
-                steps.push(TaskStep::Execute { kernel, buffers: buffer_list });
-                let writes: Vec<BufferId> = task
-                    .dependences
-                    .iter()
-                    .filter(|d| d.dep_type.writes())
-                    .map(|d| d.buffer)
-                    .collect();
-                let (tag, comm) = ctx.events.open_channel();
-                // The transfer gate opens before the bytes leave: a later
-                // co-scheduled same-node reader must await their arrival.
-                for &(buf, n) in &owned {
-                    self.inflight.insert((buf.0, n));
-                }
-                // Claim the reply tag before the notification leaves: a
-                // concurrently admitted region's driver may pump this
-                // task's completion notice, and it discards unclaimed tags.
-                self.notice_tasks.insert(tag.0, tid);
-                ctx.router.register(tag, ctx.region);
-                let pending = Pending {
-                    node,
-                    tag,
-                    comm,
-                    kind: PendingKind::Target { owned, allocs, writes },
-                };
-                if let Err(error) =
-                    self.send_task(tid, node, (tag, comm), steps, payloads, exchanges)
-                {
-                    self.roll_back_launch(&pending, attached_deletes);
-                    return Err(error);
-                }
-                Ok(Some(pending))
+                _ => {}
             }
         }
+        // Deferred maintenance rides along: whatever deletes were queued
+        // for this node since its last task become prologue steps of this
+        // composite — ordered before any receive of the same buffer and
+        // costing zero extra round-trips.
+        let attached: Vec<BufferId> =
+            self.pending_deletes.remove(&node).unwrap_or_default().into_iter().collect();
+        steps.splice(0..0, attached.iter().map(|&buffer| TaskStep::Delete { buffer }));
+        let (tag, comm) = self.run.events.open_channel();
+        // The transfer gate opens before the bytes leave, and the reply tag
+        // is claimed before the notification does: a concurrently admitted
+        // region's driver may pump this task's notice, and it discards
+        // unclaimed tags.
+        for &buffer in &intent.owned {
+            self.inflight.insert((buffer.0, node));
+        }
+        self.notice_tasks.insert(tag.0, tid);
+        self.router.register(tag, self.run.region);
+        if let Err(error) = self.send_task(tid, node, (tag, comm), steps, payloads, exchanges) {
+            self.notice_tasks.remove(&tag.0);
+            self.router.unregister(tag);
+            for buffer in attached {
+                self.defer_delete(node, buffer);
+            }
+            return self.settle(&intent, Err(error)).map(|()| None);
+        }
+        Ok(Some(Pending { node, tag, comm, kind: PendingKind::Target(intent) }))
+    }
+
+    /// Close the in-flight gate of a finished task and settle its intent
+    /// by `outcome`: commit it — deferring the deletes of the stale copies
+    /// its writes invalidated — or roll it back and return the error.
+    fn settle(&mut self, intent: &TaskIntent, outcome: OmpcResult<()>) -> OmpcResult<()> {
+        for &buffer in &intent.owned {
+            self.inflight.remove(&(buffer.0, intent.node));
+        }
+        if outcome.is_err() {
+            intent.roll_back(&mut self.run.dm.lock());
+            return outcome;
+        }
+        let stale = intent.commit(&mut self.run.dm.lock())?;
+        for (node, buffer) in stale {
+            self.defer_delete(node, buffer);
+        }
+        Ok(())
     }
 
     /// Turn an arrived reply into the task's [`TaskEvent`], performing the
-    /// completion-side data-manager bookkeeping. A timed reply carries the
-    /// worker's [`crate::protocol::TaskStamps`]; they become the task's
-    /// worker-side spans (receive marker, dependence await, kernel execute)
-    /// plus a head-side `Reply` span covering the reply decode.
+    /// completion-side bookkeeping. A timed reply carries the worker's
+    /// [`crate::protocol::TaskStamps`]; they become the task's worker-side
+    /// spans, plus a head-side `Reply` span covering the reply decode.
     fn finish_task(&mut self, task: usize, pending: Pending, data: Vec<u8>) -> TaskEvent {
-        let tel = Arc::clone(&self.ctx.telemetry);
+        let tel = Arc::clone(&self.run.telemetry);
         let reply_start = tel.start();
-        let reply = match EventReply::decode(&data) {
-            Ok(reply) => reply,
-            Err(error) => return TaskEvent::Failed { task, error },
-        };
-        let (result, stamps) = match reply.into_timed_result() {
+        let (result, stamps) = match EventReply::decode(&data).and_then(|r| r.into_timed_result()) {
             Ok((payload, stamps)) => (Ok(payload), stamps),
             Err(error) => (Err(error), None),
         };
         if tel.spans_enabled() {
-            let attempt = tel.attempt(task);
-            if let Some(s) = stamps {
-                tel.record(
-                    Span::new(SpanPhase::WorkerRecv, pending.node, s.recv_us, s.recv_us)
-                        .task(task)
-                        .attempt(attempt),
-                );
-                tel.record(
-                    Span::new(SpanPhase::WorkerAwait, pending.node, s.recv_us, s.deps_us)
-                        .task(task)
-                        .attempt(attempt),
-                );
-                tel.record(
-                    Span::new(SpanPhase::Compute, pending.node, s.exec_start_us, s.exec_end_us)
-                        .task(task)
-                        .attempt(attempt),
-                );
-            }
+            record_worker_stamps(&tel, pending.node, task, stamps);
             tel.record(
                 Span::new(SpanPhase::Reply, HEAD_NODE, reply_start, monotonic_us())
                     .task(task)
-                    .attempt(attempt)
+                    .attempt(tel.attempt(task))
                     .from(pending.node),
             );
         }
-        match result {
-            Err(error) => {
-                match pending.kind {
-                    PendingKind::Target { owned, allocs, .. } => {
-                        // The task never landed its effects: roll back the
-                        // optimistic holder records so no later reader
-                        // skips a transfer the bytes never made.
-                        let mut dm = self.ctx.dm.lock();
-                        for &(buf, n) in owned.iter().chain(allocs.iter()) {
-                            dm.forget_replica(buf, n);
-                        }
-                        for (buf, n) in owned {
-                            self.inflight.remove(&(buf.0, n));
-                        }
-                    }
-                    PendingKind::EnterData { buffer, planned } => {
-                        if planned {
-                            self.ctx.dm.lock().forget_replica(buffer, pending.node);
-                        }
-                    }
-                    PendingKind::ExitData { .. } => {}
-                }
-                TaskEvent::Failed { task, error }
+        let outcome = match (result, pending.kind) {
+            (result, PendingKind::Target(intent) | PendingKind::EnterData(intent)) => {
+                self.settle(&intent, result.map(|_| ()))
             }
-            Ok(payload) => match pending.kind {
-                PendingKind::Target { owned, writes, .. } => {
-                    for (buf, n) in owned {
-                        self.inflight.remove(&(buf.0, n));
-                    }
-                    // Stale copies invalidated by this task's writes are
-                    // deferred into the composite-task protocol instead of
-                    // paying a synchronous round-trip each.
-                    let stale_deletes: Vec<(NodeId, BufferId)> = {
-                        let mut dm = self.ctx.dm.lock();
-                        let mut out = Vec::new();
-                        for buf in writes {
-                            for stale in dm.record_write(buf, pending.node) {
-                                if stale != HEAD_NODE && !dm.is_failed(stale) {
-                                    out.push((stale, buf));
-                                }
-                            }
-                        }
-                        out
-                    };
-                    for (stale, buf) in stale_deletes {
-                        self.defer_delete(stale, buf);
-                    }
-                    TaskEvent::Completed(task)
-                }
-                PendingKind::EnterData { buffer, planned } => {
-                    if !planned {
-                        self.ctx.dm.lock().record_replica(buffer, pending.node);
-                    }
-                    TaskEvent::Completed(task)
-                }
-                PendingKind::ExitData { buffer, release } => {
-                    let bytes = payload.len() as u64;
-                    self.ctx.events.counters().record(Some(bytes));
-                    let t0 = tel.start();
-                    if let Err(error) = self.ctx.buffers.set(buffer, payload) {
-                        return TaskEvent::Failed { task, error };
-                    }
-                    if tel.spans_enabled() {
-                        tel.record(
-                            Span::new(SpanPhase::ExitData, HEAD_NODE, t0, monotonic_us())
-                                .task(task)
-                                .attempt(tel.attempt(task))
-                                .bytes(bytes)
-                                .from(pending.node)
-                                .detail("ExitData"),
-                        );
-                    }
-                    {
-                        // The retrieved size is the ground truth for later
-                        // transfer-log entries of this buffer: a kernel may
-                        // have resized the device copy.
-                        let mut dm = self.ctx.dm.lock();
-                        dm.observe_size(buffer, bytes);
-                        dm.record_retrieve_in(self.ctx.region, buffer);
-                    }
-                    if release {
-                        self.release_buffer(buffer);
-                    }
-                    TaskEvent::Completed(task)
-                }
-            },
+            (Err(error), PendingKind::ExitData { .. }) => Err(error),
+            (Ok(payload), PendingKind::ExitData { buffer, release }) => {
+                self.finish_retrieve(task, pending.node, buffer, release, payload)
+            }
+        };
+        match outcome {
+            Ok(()) => TaskEvent::Completed(task),
+            Err(error) => TaskEvent::Failed { task, error },
         }
+    }
+
+    /// Commit an exit-data retrieval that arrived from `from`, then release
+    /// the device copies unless the exit is a keep-resident flush.
+    fn finish_retrieve(
+        &mut self,
+        task: usize,
+        from: NodeId,
+        buffer: BufferId,
+        release: bool,
+        payload: Vec<u8>,
+    ) -> OmpcResult<()> {
+        let run = self.run;
+        run.events.counters().record(Some(payload.len() as u64));
+        let t0 = run.telemetry.start();
+        let bytes = commit_retrieve(&run.buffers, &run.dm, run.region, buffer, payload)?;
+        task_span(&run.telemetry, SpanPhase::ExitData, HEAD_NODE, task, t0, |s| {
+            s.bytes(bytes).from(from).detail("ExitData")
+        });
+        if release {
+            self.release_buffer(buffer);
+        }
+        Ok(())
     }
 
     /// Resolve one completion notice: look up the noticed task, receive its
@@ -1064,13 +680,13 @@ impl MpiDriver<'_> {
         let Some(task) = self.notice_tasks.remove(&notice.tag.0) else {
             return Ok(());
         };
-        self.ctx.router.unregister(notice.tag);
+        self.router.unregister(notice.tag);
         let Some(p) = self.pending.remove(&task) else {
             return Ok(());
         };
         // The worker sends the typed reply before posting the notice and
         // the transport delivers eagerly, so this receive cannot block.
-        let msg = self.ctx.events.communicator().on(p.comm)?.recv(Some(p.node), Some(p.tag))?;
+        let msg = self.run.events.communicator().on(p.comm)?.recv(Some(p.node), Some(p.tag))?;
         let event = self.finish_task(task, p, msg.data);
         out.push(event);
         Ok(())
@@ -1081,10 +697,10 @@ impl MpiDriver<'_> {
     /// shared channel — pumped only when no other region's driver holds the
     /// pump (that pumper parks our notices for us).
     fn try_next_notice(&self) -> Option<Vec<u8>> {
-        let router = &self.ctx.router;
+        let router = &self.router;
         {
             let mut inner = router.inner.lock();
-            if let Some(data) = inner.parked.get_mut(&self.ctx.region).and_then(|q| q.pop_front()) {
+            if let Some(data) = inner.parked.get_mut(&self.run.region).and_then(|q| q.pop_front()) {
                 return Some(data);
             }
             if inner.pumping {
@@ -1094,8 +710,8 @@ impl MpiDriver<'_> {
         }
         let mut own = None;
         while own.is_none() {
-            match self.ctx.events.communicator().try_recv(None, Some(COMPLETION_TAG)) {
-                Some(msg) => own = router.route(self.ctx.region, msg.data),
+            match self.run.events.communicator().try_recv(None, Some(COMPLETION_TAG)) {
+                Some(msg) => own = router.route(self.run.region, msg.data),
                 None => break,
             }
         }
@@ -1110,13 +726,13 @@ impl MpiDriver<'_> {
     /// condvar until that pumper parks something for us or hands the pump
     /// over.
     fn wait_notice(&self, wait: Duration) -> Option<Vec<u8>> {
-        let router = &self.ctx.router;
+        let router = &self.router;
         let deadline = Instant::now() + wait;
         loop {
             let pump = {
                 let mut inner = router.inner.lock();
                 if let Some(data) =
-                    inner.parked.get_mut(&self.ctx.region).and_then(|q| q.pop_front())
+                    inner.parked.get_mut(&self.run.region).and_then(|q| q.pop_front())
                 {
                     return Some(data);
                 }
@@ -1155,9 +771,9 @@ impl MpiDriver<'_> {
             if timeout.is_zero() {
                 return None;
             }
-            match self.ctx.events.communicator().recv_timeout(None, Some(COMPLETION_TAG), timeout) {
+            match self.run.events.communicator().recv_timeout(None, Some(COMPLETION_TAG), timeout) {
                 Ok(msg) => {
-                    if let Some(own) = self.ctx.router.route(self.ctx.region, msg.data) {
+                    if let Some(own) = self.router.route(self.run.region, msg.data) {
                         return Some(own);
                     }
                 }
@@ -1179,7 +795,7 @@ impl MpiDriver<'_> {
             .iter()
             .filter(|(_, p)| !matches!(p.kind, PendingKind::Target { .. }))
             .filter(|(_, p)| {
-                self.ctx
+                self.run
                     .events
                     .communicator()
                     .on(p.comm)
@@ -1191,7 +807,7 @@ impl MpiDriver<'_> {
             .collect();
         for task in arrived {
             let p = self.pending.remove(&task).expect("probed task is pending");
-            let msg = self.ctx.events.communicator().on(p.comm)?.recv(Some(p.node), Some(p.tag))?;
+            let msg = self.run.events.communicator().on(p.comm)?.recv(Some(p.node), Some(p.tag))?;
             let event = self.finish_task(task, p, msg.data);
             out.push(event);
         }
@@ -1201,20 +817,12 @@ impl MpiDriver<'_> {
 
 impl ExecutionBackend for MpiDriver<'_> {
     fn launch(&mut self, task: usize, node: NodeId) -> OmpcResult<()> {
-        if node != HEAD_NODE && self.ctx.dm.lock().is_failed(node) {
-            // The failure injector killed this node: complete the task as a
-            // no-op whose (stale) completion the core discards and restarts
-            // on a survivor — without depending on the zombie gate's reply
-            // latency.
-            self.ready.push_back(TaskEvent::Completed(task));
-            return Ok(());
-        }
         match self.begin_task(task, node) {
             Ok(Some(pending)) => {
                 self.pending.insert(task, pending);
             }
             Ok(None) => self.ready.push_back(TaskEvent::Completed(task)),
-            // Head-side planning and send failures are task failures, not
+            // Head-side compile and send failures are task failures, not
             // backend breakdowns: the core owns the propagate-vs-restart
             // policy.
             Err(error) => self.ready.push_back(TaskEvent::Failed { task, error }),
@@ -1234,7 +842,7 @@ impl ExecutionBackend for MpiDriver<'_> {
                 "mpi backend awaited completions with nothing outstanding".to_string(),
             ));
         }
-        let deadline = self.ctx.events.reply_timeout().map(|t| Instant::now() + t);
+        let deadline = self.run.events.reply_timeout().map(|t| Instant::now() + t);
         loop {
             let all_noticed =
                 self.pending.values().all(|p| matches!(p.kind, PendingKind::Target { .. }));
@@ -1279,42 +887,11 @@ impl ExecutionBackend for MpiDriver<'_> {
         // deletes also keeps them from riding a later composite into the
         // zombie gate.
         self.pending_deletes.remove(&node);
-        let lost = self.ctx.dm.lock().fail_node(node);
-        // Kill the worker's event loop for real: from now on the node
-        // refuses every event with an error reply instead of executing it,
-        // so outstanding and future tasks observe the death instead of
-        // hanging.
-        let _ = self.ctx.events.kill(node);
-        lost.into_iter()
-            .map(|buffer| LostBuffer {
-                buffer,
-                writers: self
-                    .ctx
-                    .graph
-                    .tasks()
-                    .iter()
-                    .filter(|t| {
-                        t.dependences.iter().any(|d| d.buffer == buffer && d.dep_type.writes())
-                    })
-                    .map(|t| t.id.0)
-                    .collect(),
-            })
-            .collect()
+        self.run.invalidate_node(node)
     }
 
     fn replan(&mut self, alive_workers: &[NodeId]) -> Option<Vec<NodeId>> {
-        let platform = Platform::cluster(alive_workers.len());
-        // Re-pin against the post-failure residency view: the dead node's
-        // copies are gone, so data tasks follow the surviving holders.
-        let residency = self.ctx.dm.lock().latest_on_workers();
-        Some(RuntimePlan::region_assignment_on(
-            &self.ctx.graph,
-            &self.ctx.buffers,
-            &platform,
-            &self.ctx.config,
-            alive_workers,
-            &residency,
-        ))
+        self.run.replan(alive_workers)
     }
 }
 
@@ -1459,17 +1036,18 @@ mod tests {
     /// exactly once.
     #[test]
     fn partial_send_failure_commits_no_counters_until_the_retry_lands() {
-        use super::{MpiContext, MpiDriver, NoticeRouter};
+        use super::{MpiDriver, NoticeRouter};
         use crate::buffer::BufferRegistry;
         use crate::data_manager::DataManager;
         use crate::event::EventSystem;
         use crate::protocol::EventRequest;
+        use crate::runtime::recipe::RegionRun;
         use crate::runtime::telemetry::Telemetry;
         use crate::task::RegionGraph;
         use crate::types::{BufferId, NodeId};
         use ompc_mpi::World;
         use parking_lot::Mutex;
-        use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+        use std::collections::HashMap;
         use std::sync::atomic::Ordering;
         use std::sync::Arc;
 
@@ -1477,7 +1055,7 @@ mod tests {
         // head's counters are under test.
         let world = World::with_communicators(3, 2);
         let events = Arc::new(EventSystem::with_reply_timeout(world.communicator(0), None));
-        let ctx = MpiContext {
+        let run = RegionRun {
             events: Arc::clone(&events),
             buffers: Arc::new(BufferRegistry::new()),
             dm: Arc::new(Mutex::new(DataManager::new())),
@@ -1486,17 +1064,9 @@ mod tests {
             host_fns: HashMap::new(),
             config: mpi_config(),
             telemetry: Telemetry::off(),
-            router: NoticeRouter::new(),
         };
-        let driver = MpiDriver {
-            ctx: &ctx,
-            pending: BTreeMap::new(),
-            ready: VecDeque::new(),
-            inflight: HashSet::new(),
-            pending_deletes: BTreeMap::new(),
-            notice_tasks: HashMap::new(),
-            payload_cache: HashMap::new(),
-        };
+        let router = NoticeRouter::new();
+        let driver = MpiDriver::new(&run, &router);
         let snapshot = || {
             let c = events.counters();
             (

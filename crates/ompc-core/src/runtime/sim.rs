@@ -16,7 +16,7 @@
 //! behind [`crate::config::OmpcConfig::serial_input_transfers`].
 
 use super::fault::LostBuffer;
-use super::threaded::POISONED_KERNEL;
+use super::recipe::{TaskIntent, POISONED_KERNEL};
 use super::{ExecutionBackend, RuntimePlan, TaskEvent};
 use crate::config::{OmpcConfig, OverheadModel};
 use crate::data_manager::{DataManager, TransferReason, TransferRecord, HEAD_NODE};
@@ -235,11 +235,12 @@ impl<'w> SimBackend<'w> {
                 None
             }
             TOK_COMPLETE => {
-                // The task's output now lives (only) on the node that ran it.
+                // The task's output now lives (only) on the node that ran it;
+                // a first output registers there.
                 let node = self.node_of[task];
-                if self.dm.is_registered(BufferId(task as u64)) {
-                    self.dm.record_write(BufferId(task as u64), node);
-                } else {
+                let output =
+                    TaskIntent { node, writes: vec![BufferId(task as u64)], ..Default::default() };
+                if output.commit(&mut self.dm).is_err() {
                     self.dm.register_device_buffer(
                         BufferId(task as u64),
                         node,
@@ -436,10 +437,11 @@ impl ExecutionBackend for SimBackend<'_> {
         // (exit data), as planned by the data manager.
         for sink in self.workload.graph.sinks() {
             let bytes = self.workload.output_bytes[sink];
-            if bytes == 0 || !self.dm.is_registered(BufferId(sink as u64)) {
+            if bytes == 0 {
                 continue;
             }
-            if let Some(from) = self.dm.retrieve_source(BufferId(sink as u64)) {
+            let latest = self.dm.latest(BufferId(sink as u64));
+            if let Some(from) = latest.filter(|&n| n != HEAD_NODE) {
                 self.engine.issue(|ctx| {
                     ctx.send_labeled(
                         from,
@@ -450,7 +452,7 @@ impl ExecutionBackend for SimBackend<'_> {
                     )
                 });
                 // Simulated transfers cannot fail; commit immediately.
-                self.dm.record_retrieve(BufferId(sink as u64));
+                self.dm.record_retrieve(BufferId(sink as u64))?;
                 self.retrievals_pending += 1;
             }
         }

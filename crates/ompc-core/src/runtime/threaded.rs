@@ -6,42 +6,34 @@
 //! [`crate::cluster::ClusterDevice`] — see [`HeadWorkerPool`]. The pool is
 //! created lazily, sized `min(head_worker_threads, window, tasks)` for the
 //! largest region seen so far, reused across region executions, and drained
-//! when the device shuts down; per-region spawn/join churn is gone.
-//! [`RuntimeCore`] decides *which* task is dispatched *when* — bounded by
-//! the configured in-flight window — and the pool performs each task's data
-//! movement and kernel execution: input forwarding planned by the
-//! [`DataManager`], worker-to-worker exchanges, kernel execution events, and
-//! write-invalidation. Because the window is a property of the core rather
-//! than of the pool, more tasks can be in flight than there are blocked
-//! threads, which is exactly the pipelined dispatch the paper proposes as
-//! the fix for its §7 bottleneck.
+//! when the device shuts down. [`RuntimeCore`] decides *which* task is
+//! dispatched *when* — bounded by the configured in-flight window — and a
+//! pool thread carries each task out: it compiles the task's recipe (see
+//! `runtime::recipe`) and runs the steps one blocking event at a time
+//! (submit, exchange, alloc, execute), overlapping the task's own input
+//! forwards. Because the window is a property of the core rather than of
+//! the pool, more tasks can be in flight than there are blocked threads,
+//! which is exactly the pipelined dispatch the paper proposes as the fix
+//! for its §7 bottleneck.
 //!
-//! Every event a pool thread issues produces a typed reply
-//! ([`crate::protocol::EventReply`]): worker-side handler failures come back
-//! as [`OmpcError::RemoteEvent`] values naming the origin node and event,
-//! and are threaded through the core's completion stream as
+//! Every event produces a typed reply ([`crate::protocol::EventReply`]):
+//! worker-side handler failures come back as [`OmpcError::RemoteEvent`]
+//! values naming the origin node and event, and reach the core as
 //! [`TaskEvent::Failed`] — the core propagates genuine errors and restarts
-//! tasks whose failure is collateral damage of an injected node death.
-//!
-//! Fault tolerance (paper §3.1): when the failure injector kills a node,
-//! the backend kills the worker's event loop **for real** — the node stops
-//! executing events and refuses every later one with an error reply — and
-//! the [`DataManager`] excommunicates it. A genuine task failure on a live
-//! node trips the pool's cancellation flag so tasks already queued behind
-//! it stop executing before the error propagates.
+//! tasks whose failure is collateral damage of an injected node death. A
+//! genuine failure on a live node trips the pool's cancellation flag so
+//! tasks queued behind it stop executing before the error propagates.
 
 use super::fault::LostBuffer;
-use super::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
-use super::{ExecutionBackend, RuntimeCore, RuntimePlan, TaskEvent};
-use crate::buffer::BufferRegistry;
-use crate::cluster::HostFn;
-use crate::config::OmpcConfig;
-use crate::data_manager::{DataManager, TransferPlan, HEAD_NODE};
-use crate::event::EventSystem;
-use crate::task::{RegionGraph, TaskKind};
-use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
+use super::recipe::{
+    forward_of, record_worker_stamps, retrieve_and_commit, task_span, Recipe, RegionRun, TaskIntent,
+};
+use super::telemetry::{monotonic_us, Span, SpanPhase};
+use super::{ExecutionBackend, RuntimeCore, TaskEvent};
+use crate::data_manager::{TransferReason, HEAD_NODE};
+use crate::protocol::TaskStep;
+use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use crossbeam::channel::{Receiver, Sender};
-use ompc_sched::Platform;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,26 +45,20 @@ use std::thread::JoinHandle;
 /// root-cause error of the task that actually failed.
 const CANCELLED_MSG: &str = "cancelled after an earlier task failure";
 
-/// The kernel id injected task errors execute against: guaranteed to be
-/// unregistered, so the worker's handler genuinely fails and the error
-/// travels back through the event-reply channel.
-pub(crate) const POISONED_KERNEL: KernelId = KernelId(usize::MAX);
-
 #[derive(Debug, Clone)]
 enum TransferState {
     InFlight,
-    /// The transfer failed with this error; waiters receive a clone, so a
-    /// failure caused by a killed source keeps its node attribution.
+    /// The owning task failed with this error; waiters receive a clone, so
+    /// a failure caused by a killed source keeps its node attribution.
     Failed(OmpcError),
 }
 
-/// Tracks `(buffer, node)` input transfers that have been *planned* (the
-/// data manager optimistically records the destination as a holder) but have
-/// not yet completed on the wire. A concurrent reader of the same buffer on
-/// the same node gets `plan_input == None` and must wait here instead of
-/// executing against memory that has not arrived yet; if the transfer fails,
-/// waiters get the transfer's error instead of silently computing on
-/// missing data.
+/// The `(buffer, node)` forwards this region's tasks own and have not yet
+/// landed. The compiler records the destination as a holder at once, so a
+/// concurrent reader of the same buffer on the same node gets an
+/// `AwaitLocal` step and waits here instead of executing against memory
+/// the bytes have not reached; if the owner fails, waiters get its error
+/// instead of silently computing on missing data.
 #[derive(Default)]
 struct TransferGate {
     transfers: Mutex<HashMap<(u64, NodeId), TransferState>>,
@@ -80,23 +66,13 @@ struct TransferGate {
 }
 
 impl TransferGate {
-    fn finish(&self, buffer: BufferId, node: NodeId, outcome: Result<(), OmpcError>) {
-        {
-            let mut transfers = self.transfers.lock();
-            match outcome {
-                Ok(()) => {
-                    transfers.remove(&(buffer.0, node));
-                }
-                Err(error) => {
-                    transfers.insert((buffer.0, node), TransferState::Failed(error));
-                }
-            }
-        }
+    fn arrived(&self, buffer: BufferId, node: NodeId) {
+        self.transfers.lock().remove(&(buffer.0, node));
         self.done.notify_all();
     }
 
     /// Block until the transfer of `buffer` to `node` has landed; error out
-    /// (with the transfer's own error) if it failed.
+    /// (with the owner's error) if it failed.
     fn wait_until_present(&self, buffer: BufferId, node: NodeId) -> OmpcResult<()> {
         let mut transfers = self.transfers.lock();
         loop {
@@ -110,30 +86,17 @@ impl TransferGate {
 }
 
 /// Everything a pool thread needs to execute tasks of one region: the
-/// device's communication machinery plus the per-region graph, host tasks,
-/// transfer gate, and cancellation flag. Shared with the long-lived pool
-/// through an `Arc`, which is what lets the pool outlive any single region
-/// execution.
+/// shared [`RegionRun`] plus the transfer gate and cancellation flag.
+/// Shared with the long-lived pool through an `Arc`, which is what lets the
+/// pool outlive any single region execution.
 pub(crate) struct RegionContext {
-    events: Arc<EventSystem>,
-    buffers: Arc<BufferRegistry>,
-    dm: Arc<Mutex<DataManager>>,
-    /// The region epoch this execution runs under: every transfer the
-    /// backend plans or records lands in this namespace of the shared
-    /// [`DataManager`] transfer log, so concurrently admitted regions never
-    /// interleave records.
-    region: u64,
-    graph: Arc<RegionGraph>,
-    host_fns: HashMap<usize, HostFn>,
-    config: OmpcConfig,
-    serial_inputs: bool,
-    telemetry: Arc<Telemetry>,
-    transfers: TransferGate,
-    /// The device-wide condvar paired with `dm`'s mutex: notified whenever
-    /// an asynchronous data-path job (async enter-data, cross-region
-    /// prefetch, lazy flush) resolves an in-flight entry in the
-    /// [`DataManager`]. First readers of in-flight data block here instead
-    /// of re-submitting the transfer.
+    run: RegionRun,
+    gate: TransferGate,
+    /// The device-wide condvar paired with the data manager's mutex:
+    /// notified whenever an asynchronous data-path job (async enter-data,
+    /// cross-region prefetch, lazy flush) resolves an in-flight entry.
+    /// First readers of in-flight data block here instead of re-submitting
+    /// the transfer.
     inflight_cv: Arc<parking_lot::Condvar>,
     /// Set when a task fails on a live node: tasks still queued in the head
     /// pool stop executing instead of landing side effects after the run
@@ -154,7 +117,7 @@ impl RegionContext {
             // for tasks on a node the injector killed, and not for errors
             // blamed on a killed peer — those are stale, the core restarts
             // the task, and cancelling the run for them would wedge it.
-            let dm = self.dm.lock();
+            let dm = self.run.dm.lock();
             let own_node_dead = node != HEAD_NODE && dm.is_failed(node);
             let blamed_dead = error.origin_node().is_some_and(|n| dm.is_failed(n));
             if !own_node_dead && !blamed_dead {
@@ -164,94 +127,231 @@ impl RegionContext {
         res
     }
 
-    /// Carry out one planned input forward and resolve its gate entry.
-    /// Records a `Serialize` span for the host-side payload clone and a
-    /// `Send` span for the wire round-trip, attributed to `task`.
-    fn perform_transfer(&self, plan: TransferPlan, node: NodeId, task: usize) -> OmpcResult<()> {
-        let tel = &self.telemetry;
-        let moved = if plan.from == HEAD_NODE {
-            let t0 = tel.start();
-            let data = self.buffers.get(plan.buffer);
-            if tel.spans_enabled() {
-                let bytes = data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-                tel.record(
-                    Span::new(SpanPhase::Serialize, HEAD_NODE, t0, monotonic_us())
-                        .task(task)
-                        .attempt(tel.attempt(task))
-                        .bytes(bytes)
-                        .detail("miss"),
-                );
-            }
-            let t0 = tel.start();
-            let bytes = data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-            let sent = data.and_then(|data| self.events.submit(node, plan.buffer, data));
-            if sent.is_ok() && tel.spans_enabled() {
-                tel.record(
-                    Span::new(SpanPhase::Send, HEAD_NODE, t0, monotonic_us())
-                        .task(task)
-                        .attempt(tel.attempt(task))
-                        .bytes(bytes),
-                );
-            }
-            sent
-        } else {
-            let t0 = tel.start();
-            let moved = self.events.exchange(plan.from, node, plan.buffer);
-            if tel.spans_enabled() {
-                if let Ok(bytes) = &moved {
-                    tel.record(
-                        Span::new(SpanPhase::Send, node, t0, monotonic_us())
-                            .task(task)
-                            .attempt(tel.attempt(task))
-                            .bytes(*bytes)
-                            .from(plan.from)
-                            .detail("worker forward"),
-                    );
+    /// Compile one task and carry its recipe out on this pool thread.
+    fn run_task(&self, tid: usize, node: NodeId) -> OmpcResult<()> {
+        let r = &self.run;
+        let recipe = {
+            let mut gate = self.gate.transfers.lock();
+            let recipe =
+                r.compile(tid, node, &mut r.dm.lock(), |b| gate.contains_key(&(b.0, node)))?;
+            // Open the gate in the same acquisition: a co-located reader
+            // that finds this node recorded as holder must find the entry.
+            if let Recipe::Target { intent, .. } | Recipe::Enter { intent, .. } = &recipe {
+                for &buffer in &intent.owned {
+                    gate.insert((buffer.0, node), TransferState::InFlight);
                 }
             }
-            moved.map(|_| ())
+            recipe
         };
-        if moved.is_err() {
-            // The bytes never arrived: roll back the holder `plan_input`
-            // recorded optimistically so no later reader skips the transfer.
-            self.dm.lock().forget_replica(plan.buffer, node);
+        match recipe {
+            Recipe::Skip => Ok(()),
+            Recipe::Host { flush } => r.run_host(tid, &flush),
+            Recipe::Exit { buffer, source, release } => {
+                if let Some(from) = source {
+                    let t0 = r.telemetry.start();
+                    let bytes =
+                        retrieve_and_commit(&r.events, &r.buffers, &r.dm, r.region, from, buffer)?;
+                    task_span(&r.telemetry, SpanPhase::ExitData, HEAD_NODE, tid, t0, |s| {
+                        s.bytes(bytes).from(from).detail("ExitData")
+                    });
+                }
+                if release {
+                    super::release_device_copies(&r.dm, &r.events, buffer)
+                } else {
+                    Ok(())
+                }
+            }
+            Recipe::Enter { step, intent } => {
+                self.run_steps(tid, step.into_iter().collect(), intent, SpanPhase::EnterData)
+            }
+            Recipe::Target { steps, intent } => self.run_steps(tid, steps, intent, SpanPhase::Send),
         }
-        self.transfers.finish(plan.buffer, node, moved.clone());
-        moved
     }
 
-    /// Record an `EnterData` span for a completed enter-data movement
-    /// covering only the wire time (`t0` → now); the head-side payload
-    /// build gets its own `Serialize` span at the call site.
-    fn record_enter_data(
+    /// Carry out a compiled step list: the task's own forwards first
+    /// (`phase` names their spans), then the awaits, allocs and kernel in
+    /// order. Then settle the intent: commit and delete the stale copies,
+    /// or roll back and fail the forwards still open on the gate.
+    fn run_steps(
         &self,
-        moved: &OmpcResult<()>,
+        tid: usize,
+        steps: Vec<TaskStep>,
+        mut intent: TaskIntent,
+        phase: SpanPhase,
+    ) -> OmpcResult<()> {
+        let node = intent.node;
+        let forwards: Vec<_> = steps.iter().filter_map(forward_of).collect();
+        let outcome = self.forward_all(tid, node, &forwards, phase).and_then(|()| {
+            steps
+                .into_iter()
+                .filter(|step| forward_of(step).is_none())
+                .try_for_each(|step| self.run_step(tid, step, &mut intent, phase))
+        });
+        let r = &self.run;
+        match outcome {
+            Ok(()) => {
+                let stale = intent.commit(&mut r.dm.lock())?;
+                stale.into_iter().try_for_each(|(n, buffer)| r.events.delete(n, buffer))
+            }
+            Err(error) => {
+                // Roll back and fail the open forwards in one gate
+                // acquisition, so no co-located reader re-plans in between.
+                let mut gate = self.gate.transfers.lock();
+                intent.roll_back(&mut r.dm.lock());
+                for buffer in &intent.owned {
+                    gate.entry((buffer.0, node)).and_modify(|state| {
+                        if matches!(state, TransferState::InFlight) {
+                            *state = TransferState::Failed(error.clone());
+                        }
+                    });
+                }
+                drop(gate);
+                self.gate.done.notify_all();
+                Err(error)
+            }
+        }
+    }
+
+    /// Perform the task's own forwards: overlapped by default, strictly in
+    /// dependence order when `serial_input_transfers` restores the
+    /// libomptarget behaviour. Every forward is joined before reporting.
+    fn forward_all(
+        &self,
+        tid: usize,
+        node: NodeId,
+        forwards: &[(BufferId, NodeId)],
+        phase: SpanPhase,
+    ) -> OmpcResult<()> {
+        if self.run.config.serial_input_transfers || forwards.len() <= 1 {
+            return forwards
+                .iter()
+                .try_for_each(|&(b, from)| self.forward(tid, node, b, from, phase));
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = forwards
+                .iter()
+                .map(|&(b, from)| scope.spawn(move || self.forward(tid, node, b, from, phase)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("input transfer thread panicked"))
+                .fold(Ok(()), OmpcResult::and)
+        })
+    }
+
+    /// Carry out one forward through the event verbs and open its gate
+    /// entry on arrival. A head-sourced payload gets a `Serialize` span for
+    /// the registry clone; the wire round-trip gets a `phase` span.
+    fn forward(
+        &self,
+        tid: usize,
+        node: NodeId,
+        buffer: BufferId,
+        from: NodeId,
+        phase: SpanPhase,
+    ) -> OmpcResult<()> {
+        let (r, tel) = (&self.run, &self.run.telemetry);
+        let (bytes, t0) = if from == HEAD_NODE {
+            let t0 = tel.start();
+            let data = r.buffers.get(buffer)?;
+            let bytes = data.len() as u64;
+            task_span(tel, SpanPhase::Serialize, HEAD_NODE, tid, t0, |s| {
+                s.bytes(bytes).detail("miss")
+            });
+            let t0 = tel.start();
+            r.events.submit(node, buffer, data)?;
+            (bytes, t0)
+        } else {
+            let t0 = tel.start();
+            (r.events.exchange(from, node, buffer)?, t0)
+        };
+        let (at, detail) = match (phase, from) {
+            (SpanPhase::Send, HEAD_NODE) => (HEAD_NODE, None),
+            (SpanPhase::Send, _) => (node, Some("worker forward")),
+            _ => (node, Some("EnterData")),
+        };
+        task_span(tel, phase, at, tid, t0, |s| {
+            let s = s.bytes(bytes).from(from);
+            match detail {
+                Some(d) => s.detail(d),
+                None => s,
+            }
+        });
+        self.gate.arrived(buffer, node);
+        Ok(())
+    }
+
+    /// Carry out one step on the task's node.
+    fn run_step(
+        &self,
+        tid: usize,
+        step: TaskStep,
+        intent: &mut TaskIntent,
+        phase: SpanPhase,
+    ) -> OmpcResult<()> {
+        let (r, node) = (&self.run, intent.node);
+        match step {
+            TaskStep::RecvFromHead { buffer } => self.forward(tid, node, buffer, HEAD_NODE, phase),
+            TaskStep::RecvFromWorker { buffer, from } => {
+                self.forward(tid, node, buffer, from, phase)
+            }
+            TaskStep::AwaitLocal { buffer, .. } => self.await_local(tid, buffer, intent, phase),
+            TaskStep::Alloc { buffer, size } => r.events.alloc(node, buffer, size as usize),
+            TaskStep::Delete { buffer } => r.events.delete(node, buffer),
+            TaskStep::Execute { kernel, buffers } => {
+                let timed = r.telemetry.spans_enabled();
+                let stamps = r.events.execute_timed(node, kernel, buffers, timed)?;
+                record_worker_stamps(&r.telemetry, node, tid, stamps);
+                Ok(())
+            }
+        }
+    }
+
+    /// Block until `buffer` is readable on the task's node: on the gate
+    /// when a co-scheduled task owns its forward, on the data manager when
+    /// an async enter-data or prefetch booked it. A booking rolled back
+    /// with its error already consumed falls back to a forward of our own.
+    fn await_local(
+        &self,
         tid: usize,
         buffer: BufferId,
-        node: NodeId,
-        from: NodeId,
-        t0: u64,
-    ) {
-        if moved.is_ok() && self.telemetry.spans_enabled() {
-            let bytes = self.buffers.size_of(buffer).unwrap_or(0) as u64;
-            self.telemetry.record(
-                Span::new(SpanPhase::EnterData, node, t0, monotonic_us())
-                    .task(tid)
-                    .bytes(bytes)
-                    .from(from)
-                    .detail("EnterData"),
-            );
+        intent: &mut TaskIntent,
+        phase: SpanPhase,
+    ) -> OmpcResult<()> {
+        let (r, node) = (&self.run, intent.node);
+        if self.gate.transfers.lock().contains_key(&(buffer.0, node)) {
+            return self.gate.wait_until_present(buffer, node);
+        }
+        if self.await_device_inflight(buffer, node, tid)? {
+            return Ok(());
+        }
+        let reason = if phase == SpanPhase::EnterData {
+            TransferReason::EnterData
+        } else {
+            TransferReason::Input
+        };
+        let forward = {
+            let mut gate = self.gate.transfers.lock();
+            let step = r.forward_step(&mut r.dm.lock(), buffer, node, reason)?;
+            if step.is_some() {
+                gate.insert((buffer.0, node), TransferState::InFlight);
+                intent.owned.push(buffer);
+            }
+            step.as_ref().and_then(forward_of)
+        };
+        match forward {
+            Some((buffer, from)) => self.forward(tid, node, buffer, from, phase),
+            None => Ok(()),
         }
     }
 
     /// Block until a device-level asynchronous transfer of `buffer` towards
-    /// `node` (booked in the [`DataManager`]'s in-flight table by an async
+    /// `node` (booked in the data manager's in-flight table by an async
     /// enter-data or cross-region prefetch) resolves, recording an
     /// `AwaitInflight` span for the blocked time. Returns `Ok(true)` when
     /// the copy is resident, `Ok(false)` when the booking was rolled back
-    /// with no stored error (e.g. the destination died and recovery already
-    /// consumed the failure) — the caller falls back to a synchronous
-    /// forward — and the transfer's own error if it failed.
+    /// with no stored error (e.g. another waiter already consumed it), and
+    /// the transfer's own error if it failed.
     fn await_device_inflight(
         &self,
         buffer: BufferId,
@@ -259,10 +359,10 @@ impl RegionContext {
         task: usize,
     ) -> OmpcResult<bool> {
         use crate::data_manager::TransferState as DmState;
-        let tel = &self.telemetry;
+        let tel = &self.run.telemetry;
         let t0 = tel.start();
         let outcome = {
-            let mut dm = self.dm.lock();
+            let mut dm = self.run.dm.lock();
             loop {
                 match dm.transfer_state(buffer, node) {
                     DmState::Resident => break Ok(true),
@@ -283,396 +383,6 @@ impl RegionContext {
             );
         }
         outcome
-    }
-
-    /// Resolve a planned-but-unperformed forward as failed so co-located
-    /// waiters error out instead of blocking forever.
-    fn abandon_transfer(&self, plan: &TransferPlan, node: NodeId) {
-        self.dm.lock().forget_replica(plan.buffer, node);
-        self.transfers.finish(
-            plan.buffer,
-            node,
-            Err(OmpcError::Internal(format!(
-                "input forwarding of {} to node {node} abandoned after an earlier failure",
-                plan.buffer
-            ))),
-        );
-    }
-
-    /// Execute one task: plan and perform its data movement through the
-    /// data manager, then run the kernel (or the host body, or the data
-    /// movement itself for enter/exit data tasks).
-    fn run_task(&self, tid: usize, node: NodeId) -> OmpcResult<()> {
-        if node != HEAD_NODE && self.dm.lock().is_failed(node) {
-            // The failure injector killed this node: the task becomes a
-            // no-op whose completion the core discards as stale and
-            // restarts on a survivor.
-            return Ok(());
-        }
-        let task = self.graph.task(TaskId(tid));
-        match &task.kind {
-            TaskKind::EnterData { buffer, map } => {
-                if node == HEAD_NODE {
-                    return Ok(());
-                }
-                match map {
-                    MapType::To | MapType::ToFrom | MapType::ToResident => {
-                        // Residency-aware distribution: source from the
-                        // current latest holder — a submit from the host
-                        // for a fresh mapping, a worker-to-worker forward
-                        // when the latest version lives on another worker,
-                        // and **no transfer at all** when the buffer is
-                        // already present on this node (OpenMP present-table
-                        // semantics: re-entering mapped data does not copy).
-                        //
-                        // An async enter-data or cross-region prefetch may
-                        // already have the bytes on the wire towards this
-                        // node: the first reader awaits that transfer
-                        // instead of re-submitting. A rolled-back booking
-                        // falls through to the synchronous plan below.
-                        if matches!(
-                            self.dm.lock().transfer_state(*buffer, node),
-                            crate::data_manager::TransferState::InFlight(_)
-                        ) {
-                            self.await_device_inflight(*buffer, node, tid)?;
-                        }
-                        let plan = self.dm.lock().plan_input_as_in(
-                            self.region,
-                            *buffer,
-                            node,
-                            crate::data_manager::TransferReason::EnterData,
-                        )?;
-                        if let Some(plan) = plan {
-                            let moved = if plan.from == HEAD_NODE {
-                                // The host-side payload build is the
-                                // serialization cost; only the submit that
-                                // follows is wire time, so the two get
-                                // separate spans (mirroring the MPI
-                                // backend's payload-cache accounting).
-                                let t0 = self.telemetry.start();
-                                let data = self.buffers.get(*buffer);
-                                if self.telemetry.spans_enabled() {
-                                    let bytes = data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-                                    self.telemetry.record(
-                                        Span::new(
-                                            SpanPhase::Serialize,
-                                            HEAD_NODE,
-                                            t0,
-                                            monotonic_us(),
-                                        )
-                                        .task(tid)
-                                        .bytes(bytes)
-                                        .detail("miss"),
-                                    );
-                                }
-                                let t0 = self.telemetry.start();
-                                let moved =
-                                    data.and_then(|data| self.events.submit(node, *buffer, data));
-                                self.record_enter_data(&moved, tid, *buffer, node, plan.from, t0);
-                                moved
-                            } else {
-                                let t0 = self.telemetry.start();
-                                let moved =
-                                    self.events.exchange(plan.from, node, *buffer).map(|_| ());
-                                self.record_enter_data(&moved, tid, *buffer, node, plan.from, t0);
-                                moved
-                            };
-                            if moved.is_err() {
-                                self.dm.lock().forget_replica(*buffer, node);
-                            }
-                            moved?;
-                        }
-                    }
-                    MapType::Alloc => {
-                        if !self.dm.lock().is_present(*buffer, node) {
-                            let size = self.buffers.size_of(*buffer)?;
-                            self.events.alloc(node, *buffer, size)?;
-                            self.dm.lock().record_replica(*buffer, node);
-                        }
-                    }
-                    MapType::From | MapType::Release => {}
-                }
-                Ok(())
-            }
-            TaskKind::Target { kernel, .. } => {
-                // Injected task error (fault plan): execute a deliberately
-                // unregistered kernel so a genuine worker-side handler
-                // error exercises the event-reply path end to end.
-                let kernel = if self.config.fault_plan.has_task_error(tid) {
-                    POISONED_KERNEL
-                } else {
-                    *kernel
-                };
-                let buffer_list: Vec<BufferId> =
-                    task.dependences.iter().map(|d| d.buffer).collect();
-                // Plan every input forward first, under one gate acquisition
-                // per dependence, so a concurrent same-node reader that sees
-                // `plan_input == None` (we are already recorded as a holder)
-                // is guaranteed to find our in-flight entry to wait on.
-                let mut own: Vec<TransferPlan> = Vec::new();
-                let mut awaited: Vec<BufferId> = Vec::new();
-                let mut inflight: Vec<BufferId> = Vec::new();
-                for dep in &task.dependences {
-                    if dep.dep_type.reads() {
-                        let mut gate = self.transfers.transfers.lock();
-                        // Bind the plan before matching: a `match` scrutinee
-                        // keeps its temporary `dm` guard alive for every arm,
-                        // and the `None` arm locks `dm` again.
-                        let plan = self.dm.lock().plan_input_in(self.region, dep.buffer, node);
-                        let plan = match plan {
-                            Ok(plan) => plan,
-                            Err(e) => {
-                                // A rejected plan (concurrent first-touch
-                                // guard) aborts the task; resolve the
-                                // forwards already announced so co-located
-                                // waiters error out instead of blocking.
-                                drop(gate);
-                                for plan in own {
-                                    self.abandon_transfer(&plan, node);
-                                }
-                                return Err(e);
-                            }
-                        };
-                        match plan {
-                            Some(plan) => {
-                                gate.insert((dep.buffer.0, node), TransferState::InFlight);
-                                own.push(plan);
-                            }
-                            None => {
-                                if gate.contains_key(&(dep.buffer.0, node)) {
-                                    awaited.push(dep.buffer);
-                                } else if matches!(
-                                    self.dm.lock().transfer_state(dep.buffer, node),
-                                    crate::data_manager::TransferState::InFlight(_)
-                                ) {
-                                    // `plan_input == None` because an async
-                                    // enter-data / prefetch already booked
-                                    // this node as a holder: await the wire
-                                    // instead of re-submitting.
-                                    inflight.push(dep.buffer);
-                                }
-                            }
-                        }
-                    }
-                }
-                // Write-only outputs: make sure storage exists on the
-                // executing node. Any failure here must resolve the forwards
-                // announced above, or co-located waiters would block forever.
-                let allocated: OmpcResult<()> =
-                    task.dependences.iter().filter(|dep| !dep.dep_type.reads()).try_for_each(
-                        |dep| {
-                            let present = self.dm.lock().is_present(dep.buffer, node);
-                            if !present {
-                                let size = self.buffers.size_of(dep.buffer)?;
-                                self.events.alloc(node, dep.buffer, size)?;
-                                self.dm.lock().record_replica(dep.buffer, node);
-                            }
-                            Ok(())
-                        },
-                    );
-                if let Err(e) = allocated {
-                    for plan in own {
-                        self.abandon_transfer(&plan, node);
-                    }
-                    return Err(e);
-                }
-                // Perform our own forwards: overlapped by default (the
-                // pipelined dispatch loop), strictly in dependence order
-                // when `serial_input_transfers` restores the libomptarget
-                // behaviour.
-                let moved: OmpcResult<()> = if self.serial_inputs || own.len() <= 1 {
-                    let mut result = Ok(());
-                    let mut own = own.into_iter();
-                    for plan in own.by_ref() {
-                        result = self.perform_transfer(plan, node, tid);
-                        if result.is_err() {
-                            break;
-                        }
-                    }
-                    // Mark any unperformed forwards failed so co-located
-                    // waiters error out instead of blocking forever.
-                    for plan in own {
-                        self.abandon_transfer(&plan, node);
-                    }
-                    result
-                } else {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = own
-                            .into_iter()
-                            .map(|plan| scope.spawn(move || self.perform_transfer(plan, node, tid)))
-                            .collect();
-                        let mut result = Ok(());
-                        for handle in handles {
-                            let moved = handle.join().expect("input transfer thread panicked");
-                            if result.is_ok() {
-                                result = moved;
-                            }
-                        }
-                        result
-                    })
-                };
-                moved?;
-                // Inputs forwarded by co-located siblings: execute only once
-                // their copies have fully arrived.
-                for buffer in awaited {
-                    self.transfers.wait_until_present(buffer, node)?;
-                }
-                // Inputs still on the wire from the device's async data
-                // path: first use blocks here. A rolled-back booking (the
-                // async job abandoned the transfer with its error already
-                // consumed) falls back to a synchronous forward, with the
-                // same gate discipline as the planning loop above.
-                for buffer in inflight {
-                    if !self.await_device_inflight(buffer, node, tid)? {
-                        let plan = {
-                            let mut gate = self.transfers.transfers.lock();
-                            let plan = self.dm.lock().plan_input_in(self.region, buffer, node)?;
-                            if plan.is_some() {
-                                gate.insert((buffer.0, node), TransferState::InFlight);
-                            }
-                            plan
-                        };
-                        if let Some(plan) = plan {
-                            self.perform_transfer(plan, node, tid)?;
-                        }
-                    }
-                }
-                let timed = self.telemetry.spans_enabled();
-                let stamps = self.events.execute_timed(node, kernel, buffer_list, timed)?;
-                if let Some(s) = stamps {
-                    let tel = &self.telemetry;
-                    let attempt = tel.attempt(tid);
-                    tel.record(
-                        Span::new(SpanPhase::WorkerRecv, node, s.recv_us, s.recv_us)
-                            .task(tid)
-                            .attempt(attempt),
-                    );
-                    tel.record(
-                        Span::new(SpanPhase::WorkerAwait, node, s.recv_us, s.deps_us)
-                            .task(tid)
-                            .attempt(attempt),
-                    );
-                    tel.record(
-                        Span::new(SpanPhase::Compute, node, s.exec_start_us, s.exec_end_us)
-                            .task(tid)
-                            .attempt(attempt),
-                    );
-                }
-                for dep in &task.dependences {
-                    if dep.dep_type.writes() {
-                        let stale = self.dm.lock().record_write(dep.buffer, node);
-                        for stale_node in stale {
-                            if stale_node != HEAD_NODE && !self.dm.lock().is_failed(stale_node) {
-                                self.events.delete(stale_node, dep.buffer)?;
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
-            TaskKind::ExitData { buffer, map } => {
-                let mut keep_resident = false;
-                if map.copies_from_device() {
-                    let (from, pinned_holds_data, any_failures) = {
-                        let dm = self.dm.lock();
-                        keep_resident = dm.is_resident(*buffer);
-                        let present = dm.is_present(*buffer, node);
-                        (dm.retrieve_source(*buffer), present, dm.has_failures())
-                    };
-                    if let Some(from) = from {
-                        // §4.4 consistency: the exit task is pinned to its
-                        // last target producer, so in a failure-free run the
-                        // assignment record must agree with the data
-                        // manager's holder — the retrieval source is the
-                        // pinned node (or the pinned node at least holds the
-                        // latest version it read).
-                        debug_assert!(
-                            any_failures || from == node || pinned_holds_data,
-                            "exit-data task pinned to node {node} but the latest copy of \
-                             {buffer} is only on node {from}"
-                        );
-                        // Nothing is committed until the bytes land: a
-                        // failed retrieval leaves the location state
-                        // truthful, so recovery re-sources and retries.
-                        let t0 = self.telemetry.start();
-                        let data = self.events.retrieve(from, *buffer)?;
-                        let bytes = data.len() as u64;
-                        self.buffers.set(*buffer, data)?;
-                        {
-                            let mut dm = self.dm.lock();
-                            // A kernel may have resized the device copy; the
-                            // observed size keeps this and later transfer-log
-                            // entries truthful.
-                            dm.observe_size(*buffer, bytes);
-                            dm.record_retrieve_in(self.region, *buffer);
-                        }
-                        if self.telemetry.spans_enabled() {
-                            self.telemetry.record(
-                                Span::new(SpanPhase::ExitData, HEAD_NODE, t0, monotonic_us())
-                                    .task(tid)
-                                    .bytes(bytes)
-                                    .from(from)
-                                    .detail("ExitData"),
-                            );
-                        }
-                    }
-                }
-                if keep_resident {
-                    // `map(from:)` on a keep-resident buffer is a flush:
-                    // the host copy is now current, the device copies stay
-                    // mapped for later regions.
-                    Ok(())
-                } else {
-                    // Otherwise exit data releases the device copies.
-                    super::release_device_copies(&self.dm, &self.events, *buffer)
-                }
-            }
-            TaskKind::Host { .. } => {
-                // A host task reads through the head's buffer registry, so
-                // every read buffer whose latest version lives on a worker
-                // is flushed home first — the host-side analogue of the
-                // input transfers a target task plans. Graph dependences
-                // order this after the producing task's completion.
-                for dep in &task.dependences {
-                    if !dep.dep_type.reads() {
-                        continue;
-                    }
-                    let from = {
-                        let dm = self.dm.lock();
-                        // A host-only buffer (never mapped to the device)
-                        // has no residency entry and nothing to flush.
-                        if !dm.is_registered(dep.buffer) {
-                            continue;
-                        }
-                        dm.retrieve_source(dep.buffer)
-                    };
-                    if let Some(from) = from {
-                        let t0 = self.telemetry.start();
-                        let data = self.events.retrieve(from, dep.buffer)?;
-                        let bytes = data.len() as u64;
-                        self.buffers.set(dep.buffer, data)?;
-                        {
-                            let mut dm = self.dm.lock();
-                            dm.observe_size(dep.buffer, bytes);
-                            dm.record_retrieve_in(self.region, dep.buffer);
-                        }
-                        if self.telemetry.spans_enabled() {
-                            self.telemetry.record(
-                                Span::new(SpanPhase::HostFlush, HEAD_NODE, t0, monotonic_us())
-                                    .task(tid)
-                                    .bytes(bytes)
-                                    .from(from)
-                                    .detail("host task input"),
-                            );
-                        }
-                    }
-                }
-                if let Some(f) = self.host_fns.get(&tid) {
-                    f(&self.buffers);
-                }
-                Ok(())
-            }
-        }
     }
 }
 
@@ -795,33 +505,16 @@ pub struct ThreadedBackend<'a> {
 }
 
 impl<'a> ThreadedBackend<'a> {
-    /// Build a backend over the device's communication machinery and pool
-    /// for one region execution.
-    #[allow(clippy::too_many_arguments)]
+    /// Build a backend over the device's pool for one region execution.
     pub(crate) fn new(
         pool: &'a HeadWorkerPool,
-        events: Arc<EventSystem>,
-        buffers: Arc<BufferRegistry>,
-        dm: Arc<Mutex<DataManager>>,
-        region: u64,
-        graph: Arc<RegionGraph>,
-        host_fns: HashMap<usize, HostFn>,
-        config: &OmpcConfig,
-        telemetry: Arc<Telemetry>,
+        run: RegionRun,
         inflight_cv: Arc<parking_lot::Condvar>,
     ) -> Self {
         Self {
             ctx: Arc::new(RegionContext {
-                events,
-                buffers,
-                dm,
-                region,
-                graph,
-                host_fns,
-                serial_inputs: config.serial_input_transfers,
-                config: config.clone(),
-                telemetry,
-                transfers: TransferGate::default(),
+                run,
+                gate: TransferGate::default(),
                 inflight_cv,
                 cancelled: AtomicBool::new(false),
             }),
@@ -841,15 +534,10 @@ impl<'a> ThreadedBackend<'a> {
     /// outstanding job is drained so no stale work bleeds into the next
     /// region execution.
     pub fn execute(&self, core: &mut RuntimeCore) -> OmpcResult<()> {
-        self.ctx.config.fault_plan.validate_task_errors(self.ctx.graph.len())?;
-        let threads = self
-            .ctx
-            .config
-            .head_worker_threads
-            .max(1)
-            .min(core.window())
-            .min(self.ctx.graph.len())
-            .max(1);
+        let run = &self.ctx.run;
+        run.config.fault_plan.validate_task_errors(run.graph.len())?;
+        let threads =
+            run.config.head_worker_threads.max(1).min(core.window()).min(run.graph.len()).max(1);
         self.pool.ensure_threads(threads);
         let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, OmpcResult<()>)>();
         let mut driver = HeadPool {
@@ -998,41 +686,10 @@ impl ExecutionBackend for HeadPool<'_> {
     }
 
     fn invalidate_node(&mut self, node: NodeId) -> Vec<LostBuffer> {
-        let lost = self.ctx.dm.lock().fail_node(node);
-        // Kill the worker's event loop for real: from now on the node
-        // refuses every event with an error reply instead of executing it,
-        // so peers observe the death instead of hanging — and no further
-        // effects can land there.
-        let _ = self.ctx.events.kill(node);
-        lost.into_iter()
-            .map(|buffer| LostBuffer {
-                buffer,
-                writers: self
-                    .ctx
-                    .graph
-                    .tasks()
-                    .iter()
-                    .filter(|t| {
-                        t.dependences.iter().any(|d| d.buffer == buffer && d.dep_type.writes())
-                    })
-                    .map(|t| t.id.0)
-                    .collect(),
-            })
-            .collect()
+        self.ctx.run.invalidate_node(node)
     }
 
     fn replan(&mut self, alive_workers: &[NodeId]) -> Option<Vec<NodeId>> {
-        let platform = Platform::cluster(alive_workers.len());
-        // Re-pin against the post-failure residency view: the dead node's
-        // copies are gone, so data tasks follow the surviving holders.
-        let residency = self.ctx.dm.lock().latest_on_workers();
-        Some(RuntimePlan::region_assignment_on(
-            &self.ctx.graph,
-            &self.ctx.buffers,
-            &platform,
-            &self.ctx.config,
-            alive_workers,
-            &residency,
-        ))
+        self.ctx.run.replan(alive_workers)
     }
 }

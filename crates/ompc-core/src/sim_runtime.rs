@@ -374,7 +374,7 @@ mod tests {
         let overheads = OverheadModel::default();
         // Lift the in-flight limit so node count (not head threads) is the
         // binding constraint in this test.
-        let config = OmpcConfig { enforce_in_flight_limit: false, ..OmpcConfig::default() };
+        let config = OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
         let w = wide_workload(256, 0.05, 1 << 16);
         let small =
             simulate_ompc(&w, &ClusterConfig::santos_dumont(3), &config, &overheads).unwrap();
@@ -394,7 +394,8 @@ mod tests {
         let cluster = ClusterConfig::santos_dumont(9);
         let w = wide_workload(256, 0.02, 1 << 10);
         let limited = OmpcConfig { max_inflight_tasks: Some(4), ..OmpcConfig::default() };
-        let unlimited = OmpcConfig { enforce_in_flight_limit: false, ..OmpcConfig::default() };
+        let unlimited =
+            OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
         let r_lim = simulate_ompc(&w, &cluster, &limited, &overheads).unwrap();
         let r_unl = simulate_ompc(&w, &cluster, &unlimited, &overheads).unwrap();
         assert!(

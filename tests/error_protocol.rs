@@ -294,3 +294,58 @@ fn out_of_range_task_error_is_rejected_by_all_backends() {
         }
     });
 }
+
+#[test]
+fn reading_a_buffer_after_its_own_map_from_is_an_unknown_buffer_error_on_both_backends() {
+    with_timeout(WATCHDOG, || {
+        // The exit task of `map_from(a)` ends the mapping; the task that
+        // reads `a` after it must fail with a typed error naming the
+        // buffer — compiled on the head before anything is sent — and the
+        // device must stay usable.
+        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
+            let name = backend.name();
+            let mut device =
+                ClusterDevice::with_config(2, OmpcConfig { backend, ..OmpcConfig::small() });
+            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
+                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+                args.set_f64s(0, &v);
+            });
+            let mut region = device.target_region();
+            let a = region.map_to_f64s(&[1.0]);
+            region.target(bump, vec![Dependence::inout(a)]);
+            region.map_from(a);
+            region.target(bump, vec![Dependence::input(a)]);
+            let err = region.run().unwrap_err();
+            assert_eq!(err.root_cause(), &OmpcError::UnknownBuffer(a), "{name}: got {err:?}");
+
+            let mut region = device.target_region();
+            let b = region.map_to_f64s(&[10.0, 20.0]);
+            region.target(bump, vec![Dependence::inout(b)]);
+            region.map_from(b);
+            region.run().unwrap();
+            assert_eq!(device.buffer_f64s(b).unwrap(), vec![11.0, 21.0], "{name}");
+            device.shutdown();
+        }
+    });
+}
+
+#[test]
+fn a_panicking_host_task_fails_both_backends_with_the_same_error() {
+    with_timeout(WATCHDOG, || {
+        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
+            let mut device =
+                ClusterDevice::with_config(1, OmpcConfig { backend, ..OmpcConfig::small() });
+            let mut region = device.target_region();
+            let a = region.map_to_f64s(&[1.0]);
+            region.host_task(vec![Dependence::input(a)], |_| panic!("host body failed"));
+            let err = region.run().unwrap_err();
+            assert_eq!(
+                err,
+                OmpcError::Internal("host task 1 panicked".to_string()),
+                "{}",
+                backend.name()
+            );
+            device.shutdown();
+        }
+    });
+}
